@@ -22,8 +22,8 @@ from .randpot import (
     load_realization,
     mean_spacing,
     sample_gaps,
+    sample_realization,
     save_realization,
-    tail,
 )
 from .spectral import (
     CountCertificate,
@@ -31,7 +31,6 @@ from .spectral import (
     PiecewisePotential,
     WellGeometry,
     bracket_certificate,
-    bracket_counts_dn,
     count_negative_exact,
     count_with_bracketed_w,
     decoupled_count,
@@ -64,11 +63,11 @@ __all__ = [
     "__version__",
     "GapDistribution", "Perturbation", "PotentialRealization",
     "CoverageError", "RealizationParseError",
-    "tail", "sample_gaps", "build_realization", "bernoulli_lattice",
+    "sample_gaps", "sample_realization", "build_realization", "bernoulli_lattice",
     "mean_spacing", "save_realization", "load_realization",
     "PiecewisePotential", "CountCertificate", "WellGeometry", "NumericalError",
     "count_negative_exact", "fd_inertia_count", "count_with_bracketed_w",
-    "bracket_counts_dn", "bracket_certificate", "sandwich_counts",
+    "bracket_certificate", "sandwich_counts",
     "decoupled_count", "well_ground_state", "well_ground_asymptotic",
     "edge_penetration_depth",
     "BorderlineLaw", "ApproxWeights", "DiagnosticSum",

@@ -26,9 +26,8 @@ from .randpot import (
     Perturbation,
     RealizationParseError,
     bernoulli_lattice,
-    build_realization,
     load_realization,
-    mean_spacing,
+    sample_realization,
     save_realization,
 )
 from .spectral import NumericalError, WellGeometry, sandwich_counts, well_ground_asymptotic, well_ground_state
@@ -168,7 +167,8 @@ def _resolve(command: str, tokens: Sequence[str]) -> Dict[str, object]:
     return resolved
 
 
-def _build_dist(resolved: Dict[str, object], allow_bernoulli: bool = False) -> object:
+def _build_dist(resolved: Dict[str, object], allow_bernoulli: bool = False) -> tuple:
+    """(gap law, lattice p); the bernoulli cell model has geometric(1 - p) gaps, other laws p = None."""
     kind = resolved["dist"]
     if kind not in _DIST_PARAMS:
         raise UsageError(f"unknown dist {kind!r} (use {'|'.join(_DIST_PARAMS)})")
@@ -185,14 +185,28 @@ def _build_dist(resolved: Dict[str, object], allow_bernoulli: bool = False) -> o
     if extraneous:
         raise UsageError(f"key(s) {sorted(set(extraneous))} not used by dist={kind}")
     if kind == "exp":
-        return GapDistribution.exponential(resolved["eta"])
+        return GapDistribution.exponential(resolved["eta"]), None
     if kind == "stretched":
-        return GapDistribution.stretched_exponential(resolved["eta"], resolved["alpha"])
+        return GapDistribution.stretched_exponential(resolved["eta"], resolved["alpha"]), None
     if kind == "pareto":
-        return GapDistribution.pareto(resolved["xm"], resolved["alpha"])
+        return GapDistribution.pareto(resolved["xm"], resolved["alpha"]), None
     if kind == "geom":
-        return GapDistribution.geometric(resolved["q"])
-    return ("bernoulli", resolved["p"])
+        return GapDistribution.geometric(resolved["q"]), None
+    if not 0.0 < resolved["p"] < 1.0:
+        raise UsageError("dist=bernoulli needs p in (0, 1)")
+    return GapDistribution.geometric(1.0 - resolved["p"]), resolved["p"]
+
+
+def _realization_model(command: str, resolved: Dict[str, object]) -> tuple:
+    """``_build_dist`` for commands that sample bumps: the lattice sets l = 0.5, other laws need l."""
+    dist, lattice_p = _build_dist(resolved, allow_bernoulli=True)
+    if lattice_p is not None:
+        if "l" in resolved and resolved["l"] != 0.5:
+            raise UsageError("dist=bernoulli fixes l=0.5; drop the l key")
+        resolved["l"] = 0.5
+    elif "l" not in resolved:
+        raise UsageError(f"missing required key 'l' for {command}")
+    return dist, lattice_p
 
 
 def _build_pert(resolved: Dict[str, object]) -> Perturbation:
@@ -245,33 +259,14 @@ def _write_csv(out: Optional[str], command: str, resolved: Dict[str, object],
             fh.write(text)
 
 
-_GAP_CAP = 10**7
-
-
-def _sample_realization(dist: GapDistribution, l: float, h: float, X: float, seed: int):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    alpha = mean_spacing(dist, l)
-    chunk = min(int(1.3 * X / alpha) + 64, _GAP_CAP)
-    gaps = dist.sample(chunk, rng)
-    while gaps.sum() + 2.0 * l * len(gaps) < X:
-        if len(gaps) >= _GAP_CAP:
-            raise CoverageError(f"could not cover X={X:g} within {_GAP_CAP} gaps")
-        more = min(chunk, _GAP_CAP - len(gaps))
-        gaps = np.concatenate([gaps, dist.sample(more, rng)])
-    return build_realization(gaps, l, h, X)
-
-
 def cmd_generate(tokens: Sequence[str]) -> int:
     resolved = _resolve("generate", tokens)
-    dist = _build_dist(resolved, allow_bernoulli=True)
-    if isinstance(dist, tuple):
-        if "l" in resolved and resolved["l"] != 0.5:
-            raise UsageError("dist=bernoulli fixes l=0.5; drop the l key")
-        real = bernoulli_lattice(dist[1], resolved["X"], resolved["seed"], h=resolved["h"])
+    dist, lattice_p = _realization_model("generate", resolved)
+    rng = np.random.default_rng(np.random.SeedSequence(resolved["seed"]))
+    if lattice_p is not None:
+        real = bernoulli_lattice(lattice_p, resolved["X"], rng, h=resolved["h"])
     else:
-        if "l" not in resolved:
-            raise UsageError("missing required key 'l' for generate")
-        real = _sample_realization(dist, resolved["l"], resolved["h"], resolved["X"], resolved["seed"])
+        real = sample_realization(dist, resolved["l"], resolved["h"], resolved["X"], rng)
     out = resolved.get("out")
     if out is None:
         save_realization(real, sys.stdout)
@@ -310,16 +305,7 @@ def cmd_well(tokens: Sequence[str]) -> int:
 
 def cmd_borderline(tokens: Sequence[str]) -> int:
     resolved = _resolve("borderline", tokens)
-    dist = _build_dist(resolved, allow_bernoulli=True)
-    lattice_p = None
-    if isinstance(dist, tuple):
-        lattice_p = dist[1]
-        dist = GapDistribution.geometric(1.0 - lattice_p)
-        if "l" in resolved and resolved["l"] != 0.5:
-            raise UsageError("dist=bernoulli fixes l=0.5; drop the l key")
-        resolved["l"] = 0.5
-    elif "l" not in resolved:
-        raise UsageError("missing required key 'l' for borderline")
+    dist, lattice_p = _realization_model("borderline", resolved)
     law = borderline(dist)
     workers = resolved["workers"] or (os.cpu_count() or 1)
     for mult in resolved["multipliers"]:
@@ -355,7 +341,7 @@ def cmd_borderline(tokens: Sequence[str]) -> int:
 
 def cmd_expect(tokens: Sequence[str]) -> int:
     resolved = _resolve("expect", tokens)
-    dist = _build_dist(resolved)
+    dist, _ = _build_dist(resolved)
     rows = []
     for w in resolved["ws"]:
         est = estimate_expected_count(dist, w, resolved["samples"], resolved["seed"])

@@ -22,14 +22,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .randpot import (
-    CoverageError,
-    GapDistribution,
-    Perturbation,
-    bernoulli_lattice,
-    build_realization,
-    mean_spacing,
-)
+from .randpot import GapDistribution, Perturbation, bernoulli_lattice, sample_realization
 from .spectral import CountCertificate, bracket_certificate, count_with_bracketed_w
 
 __all__ = [
@@ -43,9 +36,6 @@ __all__ = [
     "trial_csv_rows",
     "summary_csv_rows",
 ]
-
-_GAP_SAMPLE_CAP = 10**7
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -122,18 +112,6 @@ def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def _sample_covering_gaps(cfg: ExperimentConfig, rng: np.random.Generator, x_max: float) -> np.ndarray:
-    alpha = mean_spacing(cfg.dist, cfg.l)
-    chunk = min(int(1.3 * x_max / alpha) + 64, _GAP_SAMPLE_CAP)
-    gaps = cfg.dist.sample(chunk, rng)
-    while gaps.sum() + 2.0 * cfg.l * len(gaps) < x_max:
-        if len(gaps) >= _GAP_SAMPLE_CAP:
-            raise CoverageError(f"could not cover X={x_max:g} within {_GAP_SAMPLE_CAP} gaps")
-        more = min(chunk, _GAP_SAMPLE_CAP - len(gaps))
-        gaps = np.concatenate([gaps, cfg.dist.sample(more, rng)])
-    return gaps
-
-
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     """One deterministic trial: sample once, count at every checkpoint."""
     rng = _trial_rng(cfg.master_seed, trial_index)
@@ -141,8 +119,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     if cfg.lattice_p is not None:
         real_full = bernoulli_lattice(cfg.lattice_p, x_max, rng, h=cfg.h)
     else:
-        gaps = _sample_covering_gaps(cfg, rng, x_max)
-        real_full = build_realization(gaps, cfg.l, cfg.h, x_max)
+        real_full = sample_realization(cfg.dist, cfg.l, cfg.h, x_max, rng)
     certs = []
     k_counts = []
     max_gaps = []

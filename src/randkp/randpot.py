@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator, Optional, Sequence, Tuple, Union
+from typing import IO, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,14 +25,13 @@ __all__ = [
     "PotentialRealization",
     "CoverageError",
     "RealizationParseError",
-    "tail",
     "sample_gaps",
     "build_realization",
+    "sample_realization",
     "bernoulli_lattice",
     "mean_spacing",
     "save_realization",
     "load_realization",
-    "realization_csv_rows",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -150,20 +149,6 @@ class GapDistribution:
             return self.x_m * self.alpha / (self.alpha - 1.0)
         return self.q / (1.0 - self.q)
 
-    def label(self) -> str:
-        if self.kind == "exponential":
-            return f"exponential(eta={self.eta:g})"
-        if self.kind == "stretched":
-            return f"stretched(eta={self.eta:g},alpha={self.alpha:g})"
-        if self.kind == "pareto":
-            return f"pareto(x_m={self.x_m:g},alpha={self.alpha:g})"
-        return f"geometric(q={self.q:g})"
-
-
-def tail(dist: GapDistribution, x: ArrayLike) -> ArrayLike:
-    """Module-level alias for :meth:`GapDistribution.tail`."""
-    return dist.tail(x)
-
 
 def sample_gaps(dist: GapDistribution, n: int, seed: int) -> np.ndarray:
     """``n`` i.i.d. gaps from a stream seeded by a single integer.
@@ -249,15 +234,6 @@ class Perturbation:
             out = np.interp(arr, xs, ws)
         return float(out) if np.ndim(x) == 0 else out
 
-    def label(self) -> str:
-        if self.kind == "logpower":
-            return f"logpower(C={self.amplitude:g},s={self.exponent:g})"
-        if self.kind == "powerlaw":
-            return f"powerlaw(A={self.amplitude:g},beta={self.exponent:g})"
-        if self.kind == "constant":
-            return f"constant(w={self.amplitude:g})"
-        return f"tabulated({len(self.knots)} knots)"
-
 
 # ---------------------------------------------------------------------------
 # sampled realizations
@@ -333,6 +309,29 @@ def build_realization(gaps: Sequence[float], l: float, h: float, X: float) -> Po
     return PotentialRealization(l=float(l), h=float(h), gaps=g, X=float(X))
 
 
+_GAP_CAP = 10**7  # most gaps sample_realization draws before giving up
+
+
+def sample_realization(
+    dist: GapDistribution, l: float, h: float, X: float, rng: np.random.Generator
+) -> PotentialRealization:
+    """Realization on [0, X] with gaps drawn from ``rng`` until the bumps cover X.
+
+    Chunks of 1.3x the expected bump count (+64) make one draw almost always
+    enough; more than ``_GAP_CAP`` gaps raise CoverageError.
+    """
+    if not l > 0:  # checked before sampling: l <= 0 never covers X, or divides by zero
+        raise ValueError("bump half-width l must be positive")
+    chunk = min(int(1.3 * X / mean_spacing(dist, l)) + 64, _GAP_CAP)
+    gaps = dist.sample(chunk, rng)
+    while gaps.sum() + 2.0 * l * len(gaps) < X:
+        if len(gaps) >= _GAP_CAP:
+            raise CoverageError(f"could not cover X={X:g} within {_GAP_CAP} gaps")
+        more = min(chunk, _GAP_CAP - len(gaps))
+        gaps = np.concatenate([gaps, dist.sample(more, rng)])
+    return build_realization(gaps, l, h, X)
+
+
 def bernoulli_lattice(
     p: float,
     X: float,
@@ -355,15 +354,12 @@ def bernoulli_lattice(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
     m = int(math.floor(X))
     occupied = np.flatnonzero(rng.random(m) < p) + 1  # cell indices k >= 1
-    gaps = []
-    prev = None
-    for k in occupied:
-        gaps.append(k - 0.5 if prev is None else float(k - prev - 1))
-        prev = k
-    reach = (prev + 0.5) if prev is not None else 0.0
+    # the first gap runs from 0 to the first bump's left edge k - 1/2
+    gaps = np.diff(occupied, prepend=-0.5) - 1.0
+    reach = occupied[-1] + 0.5 if len(occupied) else 0.0
     if reach < X:
-        gaps.append(X - reach)  # phantom bump starting exactly at X
-    return build_realization(np.array(gaps, dtype=float), 0.5, h, X)
+        gaps = np.append(gaps, X - reach)  # phantom bump starting exactly at X
+    return build_realization(gaps, 0.5, h, X)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +423,3 @@ def load_realization(src: Union[str, IO[str]]) -> PotentialRealization:
     finally:
         if own:
             fh.close()
-
-
-def realization_csv_rows(real: PotentialRealization) -> Iterator[Tuple[int, float, float]]:
-    """Rows (k, x_k, L_k), 1-based like the renewal indexing."""
-    centers = real.centers
-    for k, (x, g) in enumerate(zip(centers, real.gaps), start=1):
-        yield k, float(x), float(g)

@@ -35,7 +35,6 @@ __all__ = [
     "count_negative_exact",
     "fd_inertia_count",
     "count_with_bracketed_w",
-    "bracket_counts_dn",
     "bracket_certificate",
     "sandwich_counts",
     "decoupled_count",
@@ -91,10 +90,6 @@ class PiecewisePotential:
         idx = np.clip(idx, 0, len(self.values) - 1)
         return self.values[idx]
 
-    def csv_rows(self) -> Iterator[Tuple[float, float, float]]:
-        for a, b, v in zip(self.breakpoints[:-1], self.breakpoints[1:], self.values):
-            yield float(a), float(b), float(v)
-
 
 @dataclass(frozen=True)
 class CountCertificate:
@@ -113,9 +108,6 @@ class CountCertificate:
     @property
     def width(self) -> int:
         return self.n_hi - self.n_lo
-
-    def csv_row(self) -> Tuple[str, int, int]:
-        return self.method, self.n_lo, self.n_hi
 
 
 @dataclass(frozen=True)
@@ -351,15 +343,35 @@ class _RealizationGrid:
         return lengths, q_shallow, q_deep, seg_sub_idx
 
 
-def _refinement_levels(refine: int):
+def _levels(real, pert: Perturbation, refine: int, X: Optional[float]) -> Iterator[Tuple[bool, tuple]]:
+    """Yield ``(final, (lengths, q_shallow, q_deep, seg_idx))`` per refinement level.
+
+    One base grid serves every level; sub-pieces per well go 4, 8, ... up to
+    ``refine``, and ``final`` marks the last level the budget allows.
+    """
+    grid = _RealizationGrid(real, real.X if X is None else X)
     if refine < 1:
         raise ValueError("refinement budget must be >= 1")
     s = min(4, refine)
     while True:
-        yield s
+        yield s >= refine, grid.refine(pert, s)
         if s >= refine:
             return
         s = min(2 * s, refine)
+
+
+def _whole_domain(real, pert: Perturbation, bc: str, refine: int, X: Optional[float]):
+    """``count_with_bracketed_w``'s certificate plus the level arrays it stopped on."""
+    for _, level in _levels(real, pert, refine, X):
+        lengths, q_shallow, q_deep, _ = level
+        n_lo = _propagate_count(lengths, q_shallow, bc, bc)
+        n_hi = _propagate_count(lengths, q_deep, bc, bc)
+        if n_hi - n_lo <= 1:
+            break
+    cert = CountCertificate(
+        n_lo=n_lo, n_hi=n_hi, method="prufer-exact", converged=(n_hi - n_lo <= 1)
+    )
+    return cert, level
 
 
 def count_with_bracketed_w(
@@ -378,17 +390,7 @@ def count_with_bracketed_w(
     the budget is exhausted (then the certificate is flagged unconverged).
     """
     _check_bc(bc)
-    grid = _RealizationGrid(real, real.X if X is None else X)
-    n_lo = n_hi = 0
-    for s in _refinement_levels(refine):
-        lengths, q_shallow, q_deep, _ = grid.refine(pert, s)
-        n_lo = _propagate_count(lengths, q_shallow, bc, bc)
-        n_hi = _propagate_count(lengths, q_deep, bc, bc)
-        if n_hi - n_lo <= 1:
-            break
-    return CountCertificate(
-        n_lo=n_lo, n_hi=n_hi, method="prufer-exact", converged=(n_hi - n_lo <= 1)
-    )
+    return _whole_domain(real, pert, bc, refine, X)[0]
 
 
 def _segment_counts(lengths, values, seg_idx, bc: str):
@@ -409,36 +411,13 @@ def sandwich_counts(
 
     Because segment and whole-domain counts use identical piecewise
     potentials, Dirichlet-Neumann bracketing gives the exact chain
-    n_D <= n_lo <= n_hi <= n_N, not just a statistical tendency.
+    n_D <= n_lo <= n_hi <= n_N, not just a statistical tendency.  The
+    interval sums are taken once, on the level where the certificate stopped.
     """
-    grid = _RealizationGrid(real, real.X if X is None else X)
-    result = None
-    for s in _refinement_levels(refine):
-        lengths, q_shallow, q_deep, seg_idx = grid.refine(pert, s)
-        n_lo = _propagate_count(lengths, q_shallow, "D", "D")
-        n_hi = _propagate_count(lengths, q_deep, "D", "D")
-        d_per = _segment_counts(lengths, q_shallow, seg_idx, "D")
-        n_per = _segment_counts(lengths, q_deep, seg_idx, "N")
-        result = (sum(d_per), n_lo, n_hi, sum(n_per))
-        if n_hi - n_lo <= 1:
-            break
-    n_d, n_lo, n_hi, n_n = result
-    cert = CountCertificate(
-        n_lo=n_lo, n_hi=n_hi, method="prufer-exact",
-        converged=(n_hi - n_lo <= 1),
-    )
+    cert, (lengths, q_shallow, q_deep, seg_idx) = _whole_domain(real, pert, "D", refine, X)
+    n_d = sum(_segment_counts(lengths, q_shallow, seg_idx, "D"))
+    n_n = sum(_segment_counts(lengths, q_deep, seg_idx, "N"))
     return n_d, cert, n_n
-
-
-def bracket_counts_dn(
-    real: PotentialRealization,
-    pert: Perturbation,
-    refine: int = 64,
-    X: Optional[float] = None,
-) -> Tuple[int, int]:
-    """Summed per-interval counts (n_D, n_N) sandwiching the whole-domain count."""
-    cert = bracket_certificate(real, pert, refine=refine, X=X)
-    return cert.n_lo, cert.n_hi
 
 
 def bracket_certificate(
@@ -454,21 +433,15 @@ def bracket_certificate(
     side of the envelope, so the pair brackets the true count even before
     envelope refinement converges.
     """
-    grid = _RealizationGrid(real, real.X if X is None else X)
-    n_d = n_n = 0
-    per = ()
-    for s in _refinement_levels(refine):
-        lengths, q_shallow, q_deep, seg_idx = grid.refine(pert, s)
+    for final, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine, X):
         d_per = _segment_counts(lengths, q_shallow, seg_idx, "D")
         n_per = _segment_counts(lengths, q_deep, seg_idx, "N")
-        n_d, n_n = sum(d_per), sum(n_per)
-        per = tuple((k, d, n) for k, (d, n) in enumerate(zip(d_per, n_per)))
         # refinement narrows only the envelope slack; the D/N gap itself remains
-        d_deep = sum(_segment_counts(lengths, q_deep, seg_idx, "D"))
-        if d_deep - n_d <= 1:
+        if final or sum(_segment_counts(lengths, q_deep, seg_idx, "D")) - sum(d_per) <= 1:
             break
+    per = tuple((k, d, n) for k, (d, n) in enumerate(zip(d_per, n_per)))
     return CountCertificate(
-        n_lo=n_d, n_hi=n_n, method="bracket-DN", per_interval=per, converged=True
+        n_lo=sum(d_per), n_hi=sum(n_per), method="bracket-DN", per_interval=per, converged=True
     )
 
 

@@ -116,11 +116,6 @@ class DiagnosticSum:
     verdict: str  # "converging" | "diverging" | "undetermined"
     fit_exponent: float
 
-    def csv_rows(self):
-        """(k, summand, partial_sum) rows, 1-based."""
-        for k, (s, p) in enumerate(zip(self.summands, self.partial_sums), start=1):
-            yield k, float(s), float(p)
-
 
 _VERDICT_MARGIN = 0.1
 

@@ -51,6 +51,18 @@ def test_generate_bernoulli(tmp_path, capsys):
     assert path.read_text().splitlines()[0].startswith("l=0.5 h=2")
 
 
+@pytest.mark.parametrize("command", ["generate", "borderline"])
+def test_realization_model_checks(tmp_path, capsys, command):
+    rest = ["h=1", "X=10", "seed=1"] if command == "generate" else ["h=1", f"out={tmp_path / 'b'}"]
+    code, _, err = run(capsys, command, "dist=bernoulli", "p=0.5", "l=0.25", *rest)
+    assert code == 2 and "fixes l=0.5" in err
+    code, _, err = run(capsys, command, "dist=exp", "eta=1", *rest)
+    assert code == 2 and "'l'" in err
+    code, _, err = run(capsys, command, "dist=bernoulli", "p=1.5", *rest)
+    assert code == 2 and "p in (0, 1)" in err
+    assert run(capsys, command, "dist=exp", "eta=1", "l=-1", *rest)[0] == 2  # rejected before sampling
+
+
 def test_unknown_key_rejected(capsys):
     code, _, err = run(capsys, "generate", "dist=exp", "eta=1", "l=0.5", "h=1", "X=10", "seed=1", "bogus=3")
     assert code == 2

@@ -165,9 +165,9 @@ def test_lattice_config_validation():
 
 
 def test_coverage_cap_raises(monkeypatch):
-    import randkp.montecarlo as mc
+    import randkp.randpot as randpot
     from randkp import CoverageError
-    monkeypatch.setattr(mc, "_GAP_SAMPLE_CAP", 50)
+    monkeypatch.setattr(randpot, "_GAP_CAP", 50)
     cfg = small_cfg(checkpoints=(10_000.0,), trials=1)
     with pytest.raises(CoverageError, match="could not cover"):
         run_trial(cfg, 0)

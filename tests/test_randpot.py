@@ -17,9 +17,7 @@ from randkp import (
     mean_spacing,
     sample_gaps,
     save_realization,
-    tail,
 )
-from randkp.randpot import realization_csv_rows
 
 ALL_DISTS = [
     GapDistribution.exponential(1.0),
@@ -34,8 +32,8 @@ ALL_DISTS = [
 
 
 def test_tail_at_zero_is_one_for_exponential_families():
-    assert tail(GapDistribution.exponential(1.0), 0.0) == 1.0
-    assert tail(GapDistribution.stretched_exponential(2.0, 0.7), 0.0) == 1.0
+    assert GapDistribution.exponential(1.0).tail(0.0) == 1.0
+    assert GapDistribution.stretched_exponential(2.0, 0.7).tail(0.0) == 1.0
 
 
 def test_stretched_alpha_one_reduces_to_exponential():
@@ -202,6 +200,18 @@ def test_bernoulli_near_one_is_a_single_run():
     assert np.all(real.gaps[1:] == 0.0)  # all cells occupied: bumps adjacent
 
 
+def test_bernoulli_centers_are_the_occupied_cells():
+    p, X, seed = 0.3, 500.0, 4
+    cells = np.random.default_rng(np.random.SeedSequence(seed)).random(500)
+    occupied = np.flatnonzero(cells < p) + 1
+    real = bernoulli_lattice(p, X, seed, h=1.0)
+    k = len(occupied)
+    np.testing.assert_array_equal(real.centers[:k], occupied)
+    assert real.n_bumps == k + int(occupied[-1] + 0.5 < X)  # phantom bump past trailing empty cells
+    # no occupied cell: one phantom gap spans [0, X]
+    np.testing.assert_array_equal(bernoulli_lattice(1e-12, 20.0, 1, h=1.0).gaps, [20.0])
+
+
 def test_bernoulli_deterministic():
     a = bernoulli_lattice(0.5, 300.0, 11, h=1.0)
     b = bernoulli_lattice(0.5, 300.0, 11, h=1.0)
@@ -298,10 +308,3 @@ def test_parse_errors_carry_line_numbers():
         load_realization(io.StringIO("bogus header\n"))
     with pytest.raises(RealizationParseError, match="line 3"):
         load_realization(io.StringIO("l=0.5 h=1.0 X=2.0\n1.0\nnot-a-number\n"))
-
-
-def test_csv_rows():
-    real = build_realization([1.0, 1.0], l=0.25, h=1.0, X=3.0)
-    rows = list(realization_csv_rows(real))
-    assert rows[0] == (1, 1.25, 1.0)
-    assert rows[1] == (2, 2.75, 1.0)

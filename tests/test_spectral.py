@@ -109,14 +109,6 @@ def test_exact_counter_survives_huge_barriers():
     assert n == 2 * math.floor(2 * 4.0 / PI)
 
 
-def test_csv_serialization_shapes():
-    q = PiecewisePotential(np.array([0.0, 1.0, 3.0]), np.array([-2.0, 5.0]))
-    assert list(q.csv_rows()) == [(0.0, 1.0, -2.0), (1.0, 3.0, 5.0)]
-    cert = count_negative_exact(q)
-    method, lo, hi = cert.csv_row()
-    assert method == "prufer-exact" and lo == hi == cert.n_lo
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         PiecewisePotential(np.array([0.0]), np.array([]))
@@ -236,6 +228,19 @@ def test_bracket_certificate_intervals():
     assert cert.n_lo == sum(d for _, d, _ in cert.per_interval)
     assert cert.n_hi == sum(n for _, _, n in cert.per_interval)
     assert all(d <= n for _, d, n in cert.per_interval)
+
+
+@pytest.mark.parametrize("refine", [4, 16, 64])
+def test_entry_points_agree_on_the_shared_refinement(refine):
+    for seed in range(3):
+        real = small_realization(seed=seed, X=200.0)
+        for mult in (0.25, 4.0):
+            pert = Perturbation.log_power(mult * PI**2, 2.0)
+            whole = count_with_bracketed_w(real, pert, "D", refine=refine)
+            assert sandwich_counts(real, pert, refine=refine)[1] == whole
+            cert = bracket_certificate(real, pert, refine=refine)
+            assert cert.n_lo == sum(d for _, d, _ in cert.per_interval)
+            assert cert.n_hi == sum(n for _, _, n in cert.per_interval)
 
 
 def test_hard_wall_interval_matches_floor_formula():

@@ -159,14 +159,6 @@ def test_bc_sum_rejects_vanishing_w():
         bc_sum(d, Perturbation.constant(0.0), 1.5, 0.05, 0.0, 100)
 
 
-def test_diagnostic_csv_rows():
-    d = GapDistribution.exponential(1.0)
-    res = bc_sum(d, Perturbation.constant(1.0), 1.5, 0.05, 0.0, 5)
-    rows = list(res.csv_rows())
-    assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
-    assert rows[-1][2] == pytest.approx(res.partial_sums[-1])
-
-
 # ---------------------------------------------------------------------------
 # expectation bounds
 
