@@ -41,7 +41,6 @@ from .spectral import (
     well_ground_state,
 )
 from .theory import (
-    ApproxWeights,
     BorderlineLaw,
     DiagnosticSum,
     approx_weights,
@@ -70,7 +69,7 @@ __all__ = [
     "bracket_certificate", "sandwich_counts",
     "decoupled_count", "well_ground_state", "well_ground_asymptotic",
     "edge_penetration_depth",
-    "BorderlineLaw", "ApproxWeights", "DiagnosticSum",
+    "BorderlineLaw", "DiagnosticSum",
     "borderline", "approx_weights", "bc_sum", "expectation_bounds",
     "ExperimentConfig", "TrialResult", "GrowthReport", "CountEstimate",
     "run_trial", "run_experiment", "estimate_expected_count",

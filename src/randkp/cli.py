@@ -48,21 +48,24 @@ _DIST_PARAMS = {
     "geom": ("q",),
     "bernoulli": ("p",),
 }
+# every dist parameter, optional on each command that takes dist=
+_DIST_KEYS = {par: (float, None) for pars in _DIST_PARAMS.values() for par in pars}
 
 
 def _float_list(text: str) -> List[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise UsageError(f"bad list value {text!r}") from None
+    if not values:
+        raise UsageError(f"empty list {text!r}: give at least one value")
+    return values
 
 
 # key -> (converter, default); _REQUIRED marks keys that must be supplied
 _COMMAND_KEYS = {
     "generate": {
-        "dist": (str, _REQUIRED),
-        "eta": (float, None), "alpha": (float, None), "xm": (float, None),
-        "q": (float, None), "p": (float, None),
+        "dist": (str, _REQUIRED), **_DIST_KEYS,
         "l": (float, None), "h": (float, _REQUIRED), "X": (float, _REQUIRED),
         "seed": (int, _REQUIRED), "out": (str, None),
     },
@@ -78,9 +81,7 @@ _COMMAND_KEYS = {
         "Ls": (_float_list, _REQUIRED), "bc": (str, "D"), "out": (str, None),
     },
     "borderline": {
-        "dist": (str, _REQUIRED),
-        "eta": (float, None), "alpha": (float, None), "xm": (float, None),
-        "q": (float, None), "p": (float, None),
+        "dist": (str, _REQUIRED), **_DIST_KEYS,
         "multipliers": (_float_list, [0.25, 4.0]),
         "Xs": (_float_list, [1e3, 1e4, 1e5]),
         "trials": (int, 100), "seed": (int, 0),
@@ -90,9 +91,7 @@ _COMMAND_KEYS = {
         "out": (str, _REQUIRED),
     },
     "expect": {
-        "dist": (str, _REQUIRED),
-        "eta": (float, None), "alpha": (float, None), "xm": (float, None),
-        "q": (float, None), "p": (float, None),
+        "dist": (str, _REQUIRED), **_DIST_KEYS,
         "ws": (_float_list, _REQUIRED),
         "samples": (int, 10**5), "seed": (int, 0), "out": (str, None),
     },
@@ -178,12 +177,9 @@ def _build_dist(resolved: Dict[str, object], allow_bernoulli: bool = False) -> t
     for par in needed:
         if par not in resolved:
             raise UsageError(f"missing required key '{par}' for dist={kind}")
-    extraneous = [
-        par for pars in _DIST_PARAMS.values() for par in pars
-        if par in resolved and par not in needed
-    ]
+    extraneous = [par for par in _DIST_KEYS if par in resolved and par not in needed]
     if extraneous:
-        raise UsageError(f"key(s) {sorted(set(extraneous))} not used by dist={kind}")
+        raise UsageError(f"key(s) {sorted(extraneous)} not used by dist={kind}")
     if kind == "exp":
         return GapDistribution.exponential(resolved["eta"]), None
     if kind == "stretched":
@@ -227,8 +223,6 @@ def _build_pert(resolved: Dict[str, object]) -> Perturbation:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -378,10 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RealizationParseError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 3
-    except OSError as exc:
+    except (RealizationParseError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 3
     except (NumericalError, CoverageError) as exc:

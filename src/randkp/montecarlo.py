@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .randpot import GapDistribution, Perturbation, bernoulli_lattice, sample_realization
+from .randpot import GapDistribution, Perturbation, bernoulli_lattice, sample_gaps, sample_realization
 from .spectral import CountCertificate, bracket_certificate, count_with_bracketed_w
 
 __all__ = [
@@ -66,6 +67,8 @@ class ExperimentConfig:
         cps = tuple(float(x) for x in self.checkpoints)
         if len(cps) == 0 or any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be strictly increasing")
+        if not all(0.0 < x < math.inf for x in cps):
+            raise ValueError("checkpoints must be finite and positive")
         object.__setattr__(self, "checkpoints", cps)
         if self.bc_mode not in ("whole-domain", "bracket-DN"):
             raise ValueError("bc_mode must be 'whole-domain' or 'bracket-DN'")
@@ -98,12 +101,10 @@ class GrowthReport:
     """Aggregated experiment outcome; combination is order-independent."""
 
     config: ExperimentConfig
-    checkpoints: Tuple[float, ...]
     mean_counts: Tuple[float, ...]
     median_counts: Tuple[float, ...]
     max_counts: Tuple[int, ...]
     growing_fraction: float
-    mean_increment_per_decade: Tuple[float, ...]
     trials: Tuple[TrialResult, ...]
 
 
@@ -141,24 +142,19 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     )
 
 
-def _run_trial_task(args) -> TrialResult:
-    return run_trial(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
     """All trials plus per-checkpoint aggregates and the growth classification.
 
     Trials are independent; with ``workers > 1`` they run in separate
-    processes and are recombined by index, so the report does not depend
-    on completion order.
+    processes and ``pool.map`` returns them in index order, so the report
+    does not depend on completion order.
     """
-    tasks = [(cfg, i) for i in range(cfg.trials)]
     if workers > 1 and cfg.trials > 1:
+        chunksize = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_run_trial_task, tasks, chunksize=max(1, cfg.trials // (4 * workers))))
+            trials = list(pool.map(run_trial, repeat(cfg), range(cfg.trials), chunksize=chunksize))
     else:
         trials = [run_trial(cfg, i) for i in range(cfg.trials)]
-    trials.sort(key=lambda t: t.index)
 
     counts = np.array([t.counts for t in trials], dtype=float)  # trials x checkpoints
     means = counts.mean(axis=0)
@@ -167,19 +163,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
     if counts.shape[1] >= 2:
         growing = counts[:, -1] > counts[:, -2]
         growing_fraction = float(np.mean(growing))
-        decades = np.log10(np.array(cfg.checkpoints[1:]) / np.array(cfg.checkpoints[:-1]))
-        increments = np.diff(means) / decades
     else:
         growing_fraction = 0.0
-        increments = np.array([])
     return GrowthReport(
         config=cfg,
-        checkpoints=cfg.checkpoints,
         mean_counts=tuple(float(v) for v in means),
         median_counts=tuple(float(v) for v in medians),
         max_counts=tuple(int(v) for v in maxima),
         growing_fraction=growing_fraction,
-        mean_increment_per_decade=tuple(float(v) for v in increments),
         trials=tuple(trials),
     )
 
@@ -199,9 +190,7 @@ def estimate_expected_count(
         raise ValueError("need at least 1000 samples for a stable standard error")
     if not w > 0:
         raise ValueError("weight must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gaps = dist.sample(samples, rng)
-    vals = np.floor(math.sqrt(w) * gaps / math.pi)
+    vals = np.floor(math.sqrt(w) * sample_gaps(dist, samples, seed) / math.pi)
     return CountEstimate(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(samples)),
@@ -212,13 +201,13 @@ def estimate_expected_count(
 def trial_csv_rows(report: GrowthReport) -> Iterator[Tuple]:
     """(trial, checkpoint_X, n_lo, n_hi, max_gap, k_count) rows."""
     for t in report.trials:
-        for x, cert, mg, k in zip(report.checkpoints, t.certificates, t.max_gaps, t.k_counts):
+        for x, cert, mg, k in zip(report.config.checkpoints, t.certificates, t.max_gaps, t.k_counts):
             yield t.index, x, cert.n_lo, cert.n_hi, mg, k
 
 
 def summary_csv_rows(report: GrowthReport) -> Iterator[Tuple]:
     """(checkpoint_X, mean, median, max, growing_fraction) rows."""
     for x, mean, med, mx in zip(
-        report.checkpoints, report.mean_counts, report.median_counts, report.max_counts
+        report.config.checkpoints, report.mean_counts, report.median_counts, report.max_counts
     ):
         yield x, mean, med, mx, report.growing_fraction

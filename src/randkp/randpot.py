@@ -260,10 +260,6 @@ class PotentialRealization:
         c.setflags(write=False)
         return c
 
-    @property
-    def n_bumps(self) -> int:
-        return len(self.gaps)
-
     def bumps_within(self, x: float) -> int:
         """Number of bump centers in (0, x]."""
         return int(np.searchsorted(self.centers, x, side="right"))
@@ -322,6 +318,8 @@ def sample_realization(
     """
     if not l > 0:  # checked before sampling: l <= 0 never covers X, or divides by zero
         raise ValueError("bump half-width l must be positive")
+    if not 0 < X < math.inf:  # an infinite X would size the first draw without bound
+        raise ValueError("truncation X must be positive and finite")
     chunk = min(int(1.3 * X / mean_spacing(dist, l)) + 64, _GAP_CAP)
     gaps = dist.sample(chunk, rng)
     while gaps.sum() + 2.0 * l * len(gaps) < X:
@@ -349,8 +347,8 @@ def bernoulli_lattice(
     """
     if not 0.0 < p < 1.0:
         raise ValueError("occupation probability p must lie in (0, 1)")
-    if X < 1.0:
-        raise ValueError("lattice realizations need X >= 1")
+    if not 1.0 <= X < math.inf:
+        raise ValueError("lattice realizations need a finite X >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
     m = int(math.floor(X))
     occupied = np.flatnonzero(rng.random(m) < p) + 1  # cell indices k >= 1

@@ -282,87 +282,66 @@ def fd_inertia_count(
 _BUMP_SUBDIV_RATIO = 4  # barrier pieces refine 4x slower: envelope slack there is inert
 
 
-class _RealizationGrid:
-    """Base breakpoints of V on [0, X]: bump edges, bump centers, domain ends.
+def _subdivide(edges, values, seg_edge_idx, pert: Perturbation, s: int):
+    """Sub-piece arrays plus the two monotone envelope potentials for one level.
 
-    Centers are included so the renewal-interval partition [x_k, x_{k+1}]
-    aligns with base pieces: interval sums and the whole-domain count can
-    then share one envelope grid, which makes the two-sided comparison
-    exact rather than merely statistical.
+    Wells get ``s`` sub-pieces each, barriers s/4 (at least one); the
+    envelope slack on a barrier cannot move the count once h dominates
+    W.  Doubling ``s`` nests the grids, so brackets tighten monotonically.
+    The index arrays live only in this frame, so they are freed before the
+    caller sweeps the level.
     """
-
-    def __init__(self, real: PotentialRealization, X: float):
-        if not 0 < X <= real.X:
-            raise ValueError("truncation must lie in (0, real.X]")
-        if not np.isfinite(real.h):
-            raise ValueError("bracketed counting needs a finite bump height")
-        centers = real.centers
-        inside = centers[(centers > 0) & (centers < X)]
-        cuts = np.concatenate([
-            [0.0, X],
-            np.clip(centers - real.l, 0.0, X),
-            inside,
-            np.clip(centers + real.l, 0.0, X),
-        ])
-        edges = np.unique(cuts)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        starts = centers - real.l
-        idx = np.searchsorted(starts, mids, side="right") - 1
-        hit = idx >= 0
-        in_bump = np.zeros(mids.shape, dtype=bool)
-        in_bump[hit] = mids[hit] <= centers[idx[hit]] + real.l
-        self.edges = edges
-        self.values = np.where(in_bump, real.h, 0.0)
-        # renewal partition {0, x_1, ..., x_K, X} as indices into edges
-        pts = np.concatenate([[0.0], inside, [X]])
-        self.segment_edge_idx = np.searchsorted(edges, pts)
-
-    def refine(self, pert: Perturbation, s: int):
-        """Sub-piece arrays plus the two monotone envelope potentials.
-
-        Wells get ``s`` sub-pieces each, barriers s/4 (at least one); the
-        envelope slack on a barrier cannot move the count once h dominates
-        W.  Doubling ``s`` nests the grids, so brackets tighten monotonically.
-        """
-        base_len = np.diff(self.edges)
-        subs = np.where(self.values == 0.0, s, max(1, s // _BUMP_SUBDIV_RATIO))
-        csub = np.concatenate([[0], np.cumsum(subs)])
-        total = int(csub[-1])
-        rep = np.repeat(np.arange(len(subs)), subs)
-        local = np.arange(total) - csub[rep]
-        denom = subs[rep].astype(float)
-        start = self.edges[:-1][rep]
-        blen = base_len[rep]
-        lefts = start + blen * (local / denom)
-        rights = start + blen * ((local + 1.0) / denom)
-        lengths = blen / denom
-        vrep = self.values[rep]
-        q_deep = vrep - np.asarray(pert(lefts), dtype=float)      # W(left) >= W: more states
-        q_shallow = vrep - np.asarray(pert(rights), dtype=float)  # W(right) <= W: fewer states
-        seg_sub_idx = csub[self.segment_edge_idx]
-        return lengths, q_shallow, q_deep, seg_sub_idx
+    base_len = np.diff(edges)
+    subs = np.where(values == 0.0, s, max(1, s // _BUMP_SUBDIV_RATIO))
+    csub = np.concatenate([[0], np.cumsum(subs)])
+    total = int(csub[-1])
+    rep = np.repeat(np.arange(len(subs)), subs)
+    local = np.arange(total) - csub[rep]
+    denom = subs[rep].astype(float)
+    start = edges[:-1][rep]
+    blen = base_len[rep]
+    lefts = start + blen * (local / denom)
+    rights = start + blen * ((local + 1.0) / denom)
+    lengths = blen / denom
+    vrep = values[rep]
+    q_deep = vrep - np.asarray(pert(lefts), dtype=float)      # W(left) >= W: more states
+    q_shallow = vrep - np.asarray(pert(rights), dtype=float)  # W(right) <= W: fewer states
+    seg_sub_idx = csub[seg_edge_idx]
+    return lengths, q_shallow, q_deep, seg_sub_idx
 
 
-def _levels(real, pert: Perturbation, refine: int, X: Optional[float]) -> Iterator[Tuple[bool, tuple]]:
+def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iterator[Tuple[bool, tuple]]:
     """Yield ``(final, (lengths, q_shallow, q_deep, seg_idx))`` per refinement level.
 
-    One base grid serves every level; sub-pieces per well go 4, 8, ... up to
+    The base grid cuts [0, X] at bump edges, bump centers and the domain
+    ends.  Centers are included so the renewal-interval partition
+    [x_k, x_{k+1}] aligns with base pieces: interval sums and the
+    whole-domain count can then share one envelope grid, which makes the
+    two-sided comparison exact rather than merely statistical.  One base
+    grid serves every level; sub-pieces per well go 4, 8, ... up to
     ``refine``, and ``final`` marks the last level the budget allows.
     """
-    grid = _RealizationGrid(real, real.X if X is None else X)
+    if not np.isfinite(real.h):
+        raise ValueError("bracketed counting needs a finite bump height")
     if refine < 1:
         raise ValueError("refinement budget must be >= 1")
+    X, l, centers = real.X, real.l, real.centers
+    inside = centers[(centers > 0) & (centers < X)]
+    edges = np.unique(np.concatenate([[0.0, X], np.clip(centers - l, 0.0, X), inside, np.clip(centers + l, 0.0, X)]))
+    values = real.potential(0.5 * (edges[:-1] + edges[1:]))
+    # renewal partition {0, x_1, ..., x_K, X} as indices into edges
+    seg_edge_idx = np.searchsorted(edges, np.concatenate([[0.0], inside, [X]]))
     s = min(4, refine)
     while True:
-        yield s >= refine, grid.refine(pert, s)
+        yield s >= refine, _subdivide(edges, values, seg_edge_idx, pert, s)
         if s >= refine:
             return
         s = min(2 * s, refine)
 
 
-def _whole_domain(real, pert: Perturbation, bc: str, refine: int, X: Optional[float]):
+def _whole_domain(real, pert: Perturbation, bc: str, refine: int):
     """``count_with_bracketed_w``'s certificate plus the level arrays it stopped on."""
-    for _, level in _levels(real, pert, refine, X):
+    for _, level in _levels(real, pert, refine):
         lengths, q_shallow, q_deep, _ = level
         n_lo = _propagate_count(lengths, q_shallow, bc, bc)
         n_hi = _propagate_count(lengths, q_deep, bc, bc)
@@ -379,7 +358,6 @@ def count_with_bracketed_w(
     pert: Perturbation,
     bc: str = "D",
     refine: int = 64,
-    X: Optional[float] = None,
 ) -> CountCertificate:
     """Certified count interval for -u'' + V - W on [0, X] with ``bc`` at both ends.
 
@@ -390,7 +368,7 @@ def count_with_bracketed_w(
     the budget is exhausted (then the certificate is flagged unconverged).
     """
     _check_bc(bc)
-    return _whole_domain(real, pert, bc, refine, X)[0]
+    return _whole_domain(real, pert, bc, refine)[0]
 
 
 def _segment_counts(lengths, values, seg_idx, bc: str):
@@ -405,7 +383,6 @@ def sandwich_counts(
     real: PotentialRealization,
     pert: Perturbation,
     refine: int = 64,
-    X: Optional[float] = None,
 ) -> Tuple[int, CountCertificate, int]:
     """(n_D, whole-domain certificate, n_N) on one shared envelope grid.
 
@@ -414,7 +391,7 @@ def sandwich_counts(
     n_D <= n_lo <= n_hi <= n_N, not just a statistical tendency.  The
     interval sums are taken once, on the level where the certificate stopped.
     """
-    cert, (lengths, q_shallow, q_deep, seg_idx) = _whole_domain(real, pert, "D", refine, X)
+    cert, (lengths, q_shallow, q_deep, seg_idx) = _whole_domain(real, pert, "D", refine)
     n_d = sum(_segment_counts(lengths, q_shallow, seg_idx, "D"))
     n_n = sum(_segment_counts(lengths, q_deep, seg_idx, "N"))
     return n_d, cert, n_n
@@ -424,7 +401,6 @@ def bracket_certificate(
     real: PotentialRealization,
     pert: Perturbation,
     refine: int = 64,
-    X: Optional[float] = None,
 ) -> CountCertificate:
     """Interval-decomposed certificate: n_lo from Dirichlet sums, n_hi from Neumann.
 
@@ -433,7 +409,7 @@ def bracket_certificate(
     side of the envelope, so the pair brackets the true count even before
     envelope refinement converges.
     """
-    for final, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine, X):
+    for final, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
         d_per = _segment_counts(lengths, q_shallow, seg_idx, "D")
         n_per = _segment_counts(lengths, q_deep, seg_idx, "N")
         # refinement narrows only the envelope slack; the D/N gap itself remains

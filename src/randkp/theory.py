@@ -25,7 +25,6 @@ from .randpot import GapDistribution, Perturbation
 
 __all__ = [
     "BorderlineLaw",
-    "ApproxWeights",
     "DiagnosticSum",
     "borderline",
     "approx_weights",
@@ -76,23 +75,14 @@ def borderline(dist: GapDistribution) -> BorderlineLaw:
     raise ValueError(f"no borderline law for distribution kind {dist.kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ApproxWeights:
+def approx_weights(
+    pert: Perturbation, alpha_mean: float, epsilon: float, k_max: int, side: str = "+"
+) -> np.ndarray:
     """Envelope weights w_k = W((1 -/+ eps) * alpha * k), k = 1..K.
 
     The "+" side evaluates W early (at (1-eps)*alpha*k) and so dominates the
     true interval values for large k; the "-" side undershoots them.
     """
-
-    epsilon: float
-    alpha_mean: float
-    side: str
-    values: np.ndarray
-
-
-def approx_weights(
-    pert: Perturbation, alpha_mean: float, epsilon: float, k_max: int, side: str = "+"
-) -> ApproxWeights:
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     if not 0.0 <= epsilon < 1.0:
@@ -103,8 +93,7 @@ def approx_weights(
         raise ValueError("need k_max >= 1")
     scale = (1.0 - epsilon) if side == "+" else (1.0 + epsilon)
     ks = np.arange(1, k_max + 1, dtype=float)
-    values = np.asarray(pert(scale * alpha_mean * ks), dtype=float)
-    return ApproxWeights(epsilon=epsilon, alpha_mean=alpha_mean, side=side, values=values)
+    return np.asarray(pert(scale * alpha_mean * ks), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +116,6 @@ def bc_sum(
     epsilon: float,
     offset: float,
     k_max: int,
-    side: str = "+",
 ) -> DiagnosticSum:
     """Partial sums S_K of P(L > pi/sqrt(w_k) - offset) and a verdict.
 
@@ -141,7 +129,7 @@ def bc_sum(
         raise ValueError("need k_max >= 1")
     if offset < 0:
         raise ValueError("offset must be nonnegative")
-    w = approx_weights(pert, alpha_mean, epsilon, k_max, side).values
+    w = approx_weights(pert, alpha_mean, epsilon, k_max)
     if np.any(w <= 0):
         raise ValueError("perturbation must be strictly positive at the evaluation points")
     x = np.maximum(0.0, _PI / np.sqrt(w) - offset)

@@ -63,6 +63,30 @@ def test_realization_model_checks(tmp_path, capsys, command):
     assert run(capsys, command, "dist=exp", "eta=1", "l=-1", *rest)[0] == 2  # rejected before sampling
 
 
+@pytest.mark.parametrize("args", [
+    ["generate", "dist=exp", "eta=1", "l=0.25", "h=1", "X=inf", "seed=1"],
+    ["generate", "dist=bernoulli", "p=0.5", "h=1", "X=inf", "seed=1"],
+    ["generate", "dist=exp", "eta=1", "l=0.25", "h=1", "X=nan", "seed=1"],
+    ["borderline", "dist=exp", "eta=1", "l=0.25", "h=1", "Xs=10,inf", "trials=1", "workers=1"],
+], ids=["generate-exp-inf", "generate-bernoulli-inf", "generate-nan", "borderline-inf"])
+def test_non_finite_x_is_a_usage_error(tmp_path, capsys, args):
+    code, _, err = run(capsys, *args, f"out={tmp_path / 'o'}")
+    assert code == 2 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["borderline", "dist=exp", "eta=1", "l=0.25", "h=1", "multipliers=", "trials=1", "workers=1"],
+    ["borderline", "dist=exp", "eta=1", "l=0.25", "h=1", "Xs=,", "trials=1", "workers=1"],
+    ["expect", "dist=exp", "eta=1", "ws="],
+    ["well", "h=1", "l=1", "Ls="],
+], ids=["borderline-multipliers", "borderline-Xs", "expect-ws", "well-Ls"])
+def test_empty_list_is_a_usage_error(tmp_path, capsys, args):
+    code, _, err = run(capsys, *args, f"out={tmp_path / 'o'}")
+    assert code == 2 and "empty list" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_key_rejected(capsys):
     code, _, err = run(capsys, "generate", "dist=exp", "eta=1", "l=0.5", "h=1", "X=10", "seed=1", "bogus=3")
     assert code == 2

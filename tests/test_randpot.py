@@ -177,7 +177,7 @@ def test_truncate_keeps_prefix():
     real = build_realization(g, l=0.25, h=1.0, X=500.0)
     small = real.truncate(100.0)
     assert small.X == 100.0
-    np.testing.assert_array_equal(small.gaps, real.gaps[: small.n_bumps])
+    np.testing.assert_array_equal(small.gaps, real.gaps[: len(small.gaps)])
     assert small.centers[-1] + small.l >= 100.0
 
 
@@ -207,7 +207,7 @@ def test_bernoulli_centers_are_the_occupied_cells():
     real = bernoulli_lattice(p, X, seed, h=1.0)
     k = len(occupied)
     np.testing.assert_array_equal(real.centers[:k], occupied)
-    assert real.n_bumps == k + int(occupied[-1] + 0.5 < X)  # phantom bump past trailing empty cells
+    assert len(real.gaps) == k + int(occupied[-1] + 0.5 < X)  # phantom bump past trailing empty cells
     # no occupied cell: one phantom gap spans [0, X]
     np.testing.assert_array_equal(bernoulli_lattice(1e-12, 20.0, 1, h=1.0).gaps, [20.0])
 

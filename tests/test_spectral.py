@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randkp import (
     GapDistribution,
@@ -241,6 +243,33 @@ def test_entry_points_agree_on_the_shared_refinement(refine):
             cert = bracket_certificate(real, pert, refine=refine)
             assert cert.n_lo == sum(d for _, d, _ in cert.per_interval)
             assert cert.n_hi == sum(n for _, _, n in cert.per_interval)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=1, max_size=40),
+    l=st.sampled_from([0.25, 0.5]),
+    reach_share=st.floats(0.05, 1.0),
+    refine=st.sampled_from([4, 16]),
+)
+def test_certificates_chain_and_order_in_w(gaps, l, reach_share, refine):
+    # X is a share of the bumps' reach, so it often clips a bump or lands on a center
+    X = reach_share * (sum(gaps) + 2.0 * l * len(gaps))
+    real = build_realization(gaps, l=l, h=100.0, X=X)
+    certs = {}
+    for mult in (0.5, 4.0):
+        pert = Perturbation.log_power(mult * PI**2, 2.0)
+        n_d, whole, n_n = sandwich_counts(real, pert, refine=refine)
+        assert n_d <= whole.n_lo <= whole.n_hi <= n_n
+        dn = bracket_certificate(real, pert, refine=refine)
+        assert dn.n_lo == sum(d for _, d, _ in dn.per_interval)
+        assert dn.n_hi == sum(n for _, _, n in dn.per_interval)
+        assert all(d <= n for _, d, n in dn.per_interval)
+        certs[mult] = (whole, dn)
+    # the true count is nondecreasing in W, so each bracket's lower end at
+    # the smaller multiplier cannot pass its upper end at the larger one
+    for small, large in zip(certs[0.5], certs[4.0]):
+        assert small.n_lo <= large.n_hi
 
 
 def test_hard_wall_interval_matches_floor_formula():

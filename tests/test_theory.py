@@ -73,23 +73,23 @@ def test_law_builds_perturbation():
 
 def test_zero_epsilon_sides_coincide():
     pert = Perturbation.log_power(1.0, 2.0)
-    up = approx_weights(pert, 1.5, 0.0, 50, "+").values
-    dn = approx_weights(pert, 1.5, 0.0, 50, "-").values
+    up = approx_weights(pert, 1.5, 0.0, 50, "+")
+    dn = approx_weights(pert, 1.5, 0.0, 50, "-")
     np.testing.assert_array_equal(up, dn)
 
 
 def test_weight_ordering():
     pert = Perturbation.log_power(1.0, 2.0)
-    up = approx_weights(pert, 1.5, 0.3, 100, "+").values
-    dn = approx_weights(pert, 1.5, 0.3, 100, "-").values
+    up = approx_weights(pert, 1.5, 0.3, 100, "+")
+    dn = approx_weights(pert, 1.5, 0.3, 100, "-")
     assert np.all(dn <= up)
 
 
 def test_weight_ratio_tends_to_one():
     # the log-power ratio closes like 1/ln k: slow, but strictly monotone
     pert = Perturbation.log_power(1.0, 2.0)
-    up1 = approx_weights(pert, 1.5, 0.05, 1, "+").values[0]
-    dn1 = approx_weights(pert, 1.5, 0.05, 1, "-").values[0]
+    up1 = approx_weights(pert, 1.5, 0.05, 1, "+")[0]
+    dn1 = approx_weights(pert, 1.5, 0.05, 1, "-")[0]
     k = 10**6
     up_far = float(pert((1 - 0.05) * 1.5 * k))
     dn_far = float(pert((1 + 0.05) * 1.5 * k))
