@@ -187,16 +187,20 @@ class Perturbation:
 
     def __post_init__(self):
         if self.kind in ("logpower", "powerlaw"):
-            if not (self.amplitude > 0 and self.exponent > 0):
-                raise ValueError(f"{self.kind} perturbation needs positive amplitude and exponent")
+            amp, exp = ("C", "s") if self.kind == "logpower" else ("A", "beta")  # names as in the formulas
+            if not (0 < self.amplitude < math.inf and 0 < self.exponent < math.inf):
+                raise ValueError(f"{self.kind} perturbation needs finite {amp} > 0 and {exp} > 0, "
+                                 f"got {amp}={self.amplitude!r}, {exp}={self.exponent!r}")
         elif self.kind == "constant":
-            if self.amplitude < 0:
-                raise ValueError("constant perturbation must be nonnegative")
+            if not 0 <= self.amplitude < math.inf:
+                raise ValueError(f"constant perturbation needs a finite level w >= 0, got w={self.amplitude!r}")
         elif self.kind == "tabulated":
             if len(self.knots) < 1:
                 raise ValueError("tabulated perturbation needs at least one knot")
             xs = np.array([k[0] for k in self.knots], dtype=float)
             ws = np.array([k[1] for k in self.knots], dtype=float)
+            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ws))):
+                raise ValueError("tabulated knots must be finite")
             if np.any(np.diff(xs) <= 0):
                 raise ValueError("tabulated knots must have strictly increasing positions")
             if np.any(ws < 0) or np.any(np.diff(ws) > 0):
@@ -285,10 +289,10 @@ class PotentialRealization:
 
 def build_realization(gaps: Sequence[float], l: float, h: float, X: float) -> PotentialRealization:
     """Assemble a realization from explicit gaps; errors if [0, X] is not covered."""
-    if not l > 0:
-        raise ValueError("bump half-width l must be positive")
-    if not h > 0:
-        raise ValueError("bump height h must be positive")
+    if not 0 < l < math.inf:
+        raise ValueError(f"bump half-width l must be positive and finite, got l={l!r}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"bump height h must be positive and finite, got h={h!r}")
     if not X > 0:
         raise ValueError("truncation X must be positive")
     g = np.asarray(gaps, dtype=float).copy()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .randpot import GapDistribution, Perturbation
 
@@ -169,6 +168,7 @@ def _integrated_tail(dist: GapDistribution, a: float) -> float:
         m = math.ceil(a)
         return (m - a) * dist.q**m + dist.q ** (m + 1) / (1.0 - dist.q)
     # stretched exponential: adaptive quadrature
+    from scipy.integrate import quad  # imported here: ~0.7 s and ~80 MB that no other path needs
     eta, al = dist.eta, dist.alpha
     val, _err = quad(
         lambda x: math.exp(-eta * x**al / al), a, np.inf, epsrel=1e-10, limit=200

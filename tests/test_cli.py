@@ -1,6 +1,7 @@
 """Command-line layer: parsing, exit codes, CSV contracts, reproducibility."""
 
 import math
+import warnings
 
 import pytest
 
@@ -135,6 +136,27 @@ def test_count_rows_sandwich(realization_file, capsys):
     n_d, n_n = int(brack[1]), int(brack[2])
     assert n_d <= n_lo <= n_hi <= n_n
     assert n_lo > 0
+
+
+@pytest.mark.parametrize("args, named", [
+    (["count", "W=constant", "w=nan"], "w=nan"),
+    (["count", "W=logpower", "C=inf", "s=2"], "C=inf"),
+    (["count", "W=powerlaw", "A=1", "beta=nan"], "beta=nan"),
+    (["generate", "dist=exp", "eta=1", "l=inf", "h=1", "X=10", "seed=1"], "l=inf"),
+    (["generate", "dist=exp", "eta=1", "l=0.25", "h=inf", "X=10", "seed=1"], "h=inf"),
+    (["generate", "dist=bernoulli", "p=0.5", "h=nan", "X=10", "seed=1"], "h=nan"),
+], ids=["constant-w-nan", "logpower-C-inf", "powerlaw-beta-nan", "generate-l-inf", "generate-h-inf",
+        "bernoulli-h-nan"])
+def test_non_finite_model_parameter_is_a_usage_error(realization_file, tmp_path, capsys, args, named):
+    out = tmp_path / "o.csv"
+    extra = [f"in={realization_file}"] if args[0] == "count" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, *args, *extra, f"out={out}")
+    assert code == 2 and named in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
 
 
 def test_count_malformed_file(tmp_path, capsys):

@@ -82,6 +82,15 @@ def test_parallel_equals_serial():
     assert serial.growing_fraction == parallel.growing_fraction
 
 
+def test_parallel_equals_serial_in_bracket_mode():
+    # per-interval counts cross the process boundary and still compare equal
+    cfg = small_cfg(trials=4, bc_mode="bracket-DN")
+    serial = run_experiment(cfg, workers=1)
+    parallel = run_experiment(cfg, workers=2)
+    assert all(c.per_interval is not None for t in parallel.trials for c in t.certificates)
+    assert serial.trials == parallel.trials
+
+
 def test_hard_wall_trial_matches_decoupled_model():
     # tall bumps decouple the wells; whole-domain D count must match the
     # floor-formula sum over wells fully inside, give or take the clipped one

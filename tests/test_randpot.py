@@ -276,6 +276,24 @@ def test_perturbation_validation():
         Perturbation("mystery")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Perturbation.log_power(math.inf, 2.0),
+    lambda: Perturbation.log_power(2.0, math.nan),
+    lambda: Perturbation.power_law(math.nan, 1.0),
+    lambda: Perturbation.constant(math.nan),
+    lambda: Perturbation.constant(math.inf),
+    lambda: Perturbation.tabulated([(0.0, math.inf), (1.0, 1.0)]),
+    lambda: Perturbation.tabulated([(0.0, 1.0), (math.nan, 0.5)]),
+    lambda: build_realization([1.0], l=math.inf, h=1.0, X=1.0),
+    lambda: build_realization([1.0], l=0.5, h=math.inf, X=1.0),
+    lambda: build_realization([1.0], l=math.nan, h=1.0, X=1.0),
+], ids=["logpower-C", "logpower-s", "powerlaw-A", "constant-nan", "constant-inf", "tabulated-w",
+        "tabulated-x", "realization-l-inf", "realization-h-inf", "realization-l-nan"])
+def test_non_finite_model_parameters_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

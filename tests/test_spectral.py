@@ -1,6 +1,7 @@
 """Counting machinery: oscillation counter, FD inertia oracle, brackets, wells."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from randkp import (
     well_ground_asymptotic,
     well_ground_state,
 )
-from randkp.spectral import _edge_matching
+from randkp.spectral import IntervalCounts, _edge_matching, _levels, _propagate_count, _segment_counts
 
 PI = math.pi
 
@@ -270,6 +271,57 @@ def test_certificates_chain_and_order_in_w(gaps, l, reach_share, refine):
     # the smaller multiplier cannot pass its upper end at the larger one
     for small, large in zip(certs[0.5], certs[4.0]):
         assert small.n_lo <= large.n_hi
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=1, max_size=40),
+    l=st.sampled_from([0.25, 0.5]),
+    reach_share=st.floats(0.05, 1.0),
+    refine=st.sampled_from([4, 16, 64]),
+)
+def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
+    # the inputs of test_certificates_chain_and_order_in_w, plus refine 64; every level is checked
+    X = reach_share * (sum(gaps) + 2.0 * l * len(gaps))
+    real = build_realization(gaps, l=l, h=100.0, X=X)
+    for mult in (0.5, 4.0):
+        pert = Perturbation.log_power(mult * PI**2, 2.0)
+        for _, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
+            for values in (q_shallow, q_deep):
+                for bc in ("D", "N"):
+                    expected = [
+                        _propagate_count(lengths[a:b], values[a:b], bc, bc)
+                        for a, b in zip(seg_idx[:-1], seg_idx[1:])
+                    ]
+                    assert _segment_counts(lengths, values, seg_idx, bc).tolist() == expected
+
+
+def test_per_interval_counts_are_an_immutable_int_sequence():
+    real = small_realization(seed=4, X=300.0)
+    cert = bracket_certificate(real, Perturbation.log_power(4 * PI**2, 2.0), refine=16)
+    per = cert.per_interval
+    triples = list(per)
+    assert len(triples) == len(per) == real.bumps_within(300.0 - 1e-12) + 1
+    assert all(type(v) is int for triple in triples for v in triple)
+    assert [k for k, _, _ in triples] == list(range(len(per)))
+    assert sum(d for _, d, _ in per) == cert.n_lo and sum(n for _, _, n in per) == cert.n_hi
+    assert per[0] == triples[0] and per[-1] == triples[-1]
+    with pytest.raises(IndexError):
+        per[len(per)]
+    # smallest unsigned dtype holding the largest count, read-only
+    assert per.d.dtype == per.n.dtype == np.uint8
+    assert not per.d.flags.writeable and not per.n.flags.writeable
+    assert IntervalCounts(np.array([0, 300]), np.array([1, 70000])).n.dtype == np.uint32
+    with pytest.raises(ValueError):
+        IntervalCounts(np.array([-1]), np.array([0]))
+    # equal to a copy, with the same hash; unequal to other counts
+    copy = IntervalCounts(per.d.astype(np.int64), per.n.copy())
+    assert copy == per and hash(copy) == hash(per)
+    assert per != IntervalCounts(per.d, per.n + 1) and per != triples
+    # run_experiment ships certificates between processes
+    back = pickle.loads(pickle.dumps(cert))
+    assert back == cert and hash(back) == hash(cert)
+    assert not back.per_interval.d.flags.writeable
 
 
 def test_hard_wall_interval_matches_floor_formula():
