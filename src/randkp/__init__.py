@@ -11,66 +11,10 @@ exhibit the finite/infinite transition empirically.
 
 __version__ = "0.1.0"
 
-from .randpot import (
-    CoverageError,
-    GapDistribution,
-    Perturbation,
-    PotentialRealization,
-    RealizationParseError,
-    bernoulli_lattice,
-    build_realization,
-    load_realization,
-    mean_spacing,
-    sample_gaps,
-    sample_realization,
-    save_realization,
-)
-from .spectral import (
-    CountCertificate,
-    NumericalError,
-    PiecewisePotential,
-    WellGeometry,
-    bracket_certificate,
-    count_negative_exact,
-    count_with_bracketed_w,
-    decoupled_count,
-    edge_penetration_depth,
-    fd_inertia_count,
-    sandwich_counts,
-    well_ground_asymptotic,
-    well_ground_state,
-)
-from .theory import (
-    BorderlineLaw,
-    DiagnosticSum,
-    approx_weights,
-    bc_sum,
-    borderline,
-    expectation_bounds,
-)
-from .montecarlo import (
-    CountEstimate,
-    ExperimentConfig,
-    GrowthReport,
-    TrialResult,
-    estimate_expected_count,
-    run_experiment,
-    run_trial,
-)
+from . import montecarlo, randpot, spectral, theory
+from .montecarlo import *  # noqa: F401,F403  (each module's __all__ is the public list)
+from .randpot import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .theory import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "GapDistribution", "Perturbation", "PotentialRealization",
-    "CoverageError", "RealizationParseError",
-    "sample_gaps", "sample_realization", "build_realization", "bernoulli_lattice",
-    "mean_spacing", "save_realization", "load_realization",
-    "PiecewisePotential", "CountCertificate", "WellGeometry", "NumericalError",
-    "count_negative_exact", "fd_inertia_count", "count_with_bracketed_w",
-    "bracket_certificate", "sandwich_counts",
-    "decoupled_count", "well_ground_state", "well_ground_asymptotic",
-    "edge_penetration_depth",
-    "BorderlineLaw", "DiagnosticSum",
-    "borderline", "approx_weights", "bc_sum", "expectation_bounds",
-    "ExperimentConfig", "TrialResult", "GrowthReport", "CountEstimate",
-    "run_trial", "run_experiment", "estimate_expected_count",
-]
+__all__ = ["__version__", *randpot.__all__, *spectral.__all__, *theory.__all__, *montecarlo.__all__]

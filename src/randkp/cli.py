@@ -301,6 +301,8 @@ def cmd_borderline(tokens: Sequence[str]) -> int:
     resolved = _resolve("borderline", tokens)
     dist, lattice_p = _realization_model("borderline", resolved)
     law = borderline(dist)
+    if resolved["workers"] < 0:
+        raise UsageError("workers must be >= 0 (0 = available cores)")
     workers = resolved["workers"] or (os.cpu_count() or 1)
     for mult in resolved["multipliers"]:
         cfg = ExperimentConfig(

@@ -64,6 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.refine < 1:
+            raise ValueError("refinement budget must be >= 1")
         cps = tuple(float(x) for x in self.checkpoints)
         if len(cps) == 0 or any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be strictly increasing")
@@ -145,11 +147,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
     """All trials plus per-checkpoint aggregates and the growth classification.
 
-    Trials are independent; with ``workers > 1`` they run in separate
-    processes and ``pool.map`` returns them in index order, so the report
-    does not depend on completion order.
+    Trials are independent; with ``workers > 1`` they run in at most
+    ``cfg.trials`` separate processes and ``pool.map`` returns them in index
+    order, so the report does not depend on completion order.
     """
-    if workers > 1 and cfg.trials > 1:
+    workers = min(workers, cfg.trials)
+    if workers > 1:
         chunksize = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(run_trial, repeat(cfg), range(cfg.trials), chunksize=chunksize))

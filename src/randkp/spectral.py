@@ -1,24 +1,32 @@
 """Certified negative-eigenvalue counts for -u'' + q(x) u on finite intervals.
 
-The number of negative eigenvalues of a regular problem on [a, b] equals the
-number of zeros gained by the energy-zero solution of the Cauchy problem
-(Sturm oscillation), adjusted at the right endpoint for the boundary
-condition.  For piecewise-constant q the solution propagates across each
-piece in closed form -- cos/sin where q < 0, linear where q = 0, cosh/sinh
-where q > 0 -- so zero counts are exact up to floating point and cost one
-pass over the pieces.  On barrier pieces the transfer coefficients are
-rescaled by exp(-sqrt(q)*len); counts depend only on the projective
-solution, so the rescaling is harmless and heights like 1e8 never overflow.
+Sturm oscillation: the negative eigenvalues of a regular problem on [a, b]
+are the zeros gained by the energy-0 solution, adjusted at the right end
+for its boundary condition.  For piecewise-constant q the solution crosses
+each piece in closed form (cos/sin, linear, cosh/sinh), and barrier pieces
+are rescaled by exp(-sqrt(q)*len), so heights like 1e8 never overflow.
+
+The domain is cut into segments (renewal intervals between bump centers,
+or runs of equal values), and one numpy sweep carries both transfer
+columns of every segment at once.  Each column keeps a closed-form log
+scale g (kappa*len per barrier piece plus log r per normalization), so the
+true transfer M is known.  Then N[0, X] = sum_k N_D(segment k) + neg(S):
+S is tridiagonal on the cuts, assembled from each segment's energy-0
+Dirichlet-to-Neumann map (1/m12)*[[m11, -1], [-1, m22]] (Dirichlet
+decoupling plus Haynsworth inertia additivity).  At a stiff barrier the
+coupling -1/m12 underflows to 0, the decoupled limit.  neg(S) counts the
+negative LDL^T pivots; an exactly zero pivot counts as nonnegative, so a
+zero eigenvalue is excluded as the strict count requires.
 
 Non-constant envelopes W(x) are handled by monotone piecewise-constant
 upper/lower approximations on a refined sub-piece grid, which yields a
 certified count interval.  An independent finite-difference inertia count
-(Sylvester's law applied to the tridiagonal discretization) cross-checks
-the oscillation counter.
+cross-checks the oscillation counter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -49,7 +57,7 @@ _PI = math.pi
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed past its built-in retry."""
+    """A numerical routine failed past its built-in retry, or met an exact zero it cannot resolve."""
 
 
 def _check_bc(bc: str) -> str:
@@ -172,84 +180,161 @@ class WellGeometry:
 def _piece_coefficients(lengths, values):
     """Transfer coefficients of the energy-0 solution for each piece.
 
-    Barrier pieces carry the factor exp(-kappa*d); any positive rescaling
-    leaves the projective solution (and hence all counts) unchanged.
+    ``lengths`` broadcasts against ``values``.  The transfer is
+    ``[[c11, c12], [c21, c11]]``.  Barrier pieces carry the factor
+    exp(-kappa*d); any positive rescaling leaves the projective solution
+    (and hence all counts) unchanged.
     """
-    d = np.asarray(lengths, dtype=float)
     q = np.asarray(values, dtype=float)
+    d = np.broadcast_to(np.asarray(lengths, dtype=float), q.shape)
     om = np.sqrt(np.abs(q))
     t = om * d
-    c11 = np.ones_like(q)
-    c12 = d.copy()
-    c21 = np.zeros_like(q)
-    c22 = np.ones_like(q)
-    neg = q < 0
-    if np.any(neg):
-        ct, st, w = np.cos(t[neg]), np.sin(t[neg]), om[neg]
-        c11[neg] = ct
-        c12[neg] = st / w
-        c21[neg] = -w * st
-        c22[neg] = ct
-    pos = q > 0
-    if np.any(pos):
-        em = -np.expm1(-2.0 * t[pos])  # 1 - exp(-2 kappa d), in [0, 1]
-        w = om[pos]
-        c11[pos] = 1.0 - 0.5 * em
-        c12[pos] = 0.5 * em / w
-        c21[pos] = 0.5 * em * w
-        c22[pos] = 1.0 - 0.5 * em
-    return neg, om, t, c11, c12, c21, c22
+    neg, pos = q < 0, q > 0
+    st = np.sin(t, out=np.zeros_like(q), where=neg)
+    half = -0.5 * np.expm1(-2.0 * t)  # (1 - exp(-2 kappa d))/2, in [0, 1/2] on barriers
+    c11 = np.cos(t, out=1.0 - half, where=neg)
+    c12 = np.divide(st, om, out=d.copy(), where=neg)
+    np.divide(half, om, out=c12, where=pos)
+    c21 = np.where(neg, -om * st, half * om)
+    return neg, om, t, c11, c12, c21
 
 
-def _propagate_count(lengths, values, bc_left: str, bc_right: str) -> int:
-    """Negative-eigenvalue count by zero counting of the energy-0 solution.
+def _sweep(lengths, envelopes, seg_idx):
+    """Both transfer columns of every segment, for every envelope, in one pass.
 
-    Zeros landing exactly on a breakpoint are counted once and attributed to
-    the left piece; a zero at the right endpoint means 0 is itself a
-    Dirichlet eigenvalue and is excluded from the (strictly) negative count.
+    Segment k is pieces ``seg_idx[k]:seg_idx[k+1]``; column 0 starts at
+    (u, u') = (1, 0), column 1 at (0, 1).  Returns ``(zeros, u, du, g)``, each
+    of shape (envelopes, 2, segments): the zeros a column gains in the
+    segment, its normalized end value and its log scale, so the true column
+    is (u, du)*exp(g).  With segments in descending piece count, piece slot j
+    updates the prefix of segments with more than j pieces; only that slot's
+    coefficients are held.
     """
-    neg, om, t, c11, c12, c21, c22 = _piece_coefficients(lengths, values)
-    u, du = (0.0, 1.0) if bc_left == "D" else (1.0, 0.0)
-    zeros = 0
-    atan2, floor, hypot, pi = math.atan2, math.floor, math.hypot, _PI
-    for osc, w, tt, a11, a12, a21, a22 in zip(
-        neg.tolist(), om.tolist(), t.tolist(),
-        c11.tolist(), c12.tolist(), c21.tolist(), c22.tolist(),
-    ):
-        if osc:
-            # zeros in (0, d]: integer multiples of pi crossed by the local phase
-            phi = atan2(w * u, du)
-            zeros += floor((phi + tt) / pi) - floor(phi / pi)
-            un = a11 * u + a12 * du
-            dn = a21 * u + a22 * du
-        else:
-            un = a11 * u + a12 * du
-            dn = a21 * u + a22 * du
-            if u != 0.0 and (un == 0.0 or (u > 0.0) != (un > 0.0)):
-                zeros += 1  # convex pieces gain at most one zero
-            if un == 0.0 and dn == 0.0:
-                # pure decaying branch annihilated by the rescaled transfer
-                un, dn = u, -w * u
-        r = hypot(un, dn)
-        if r == 0.0:
+    sizes = np.diff(seg_idx)
+    order = np.argsort(-sizes, kind="stable")
+    starts, npieces = seg_idx[:-1][order], sizes[order]
+    active = np.searchsorted(-npieces, -np.arange(npieces.max(initial=0)), side="left")
+    shape = (len(envelopes), 2, len(starts))
+    u = np.zeros(shape)
+    u[:, 0] = 1.0
+    du = 1.0 - u
+    zeros, g = np.zeros(shape), np.zeros(shape)
+    for j, m in enumerate(active.tolist()):
+        p = starts[:m] + j
+        coefficients = _piece_coefficients(lengths[p], np.stack([q[p] for q in envelopes]))
+        osc, w, t, a11, a12, a21 = (c[:, None] for c in coefficients)  # shared by both columns
+        u0, du0 = u[..., :m], du[..., :m]
+        un = a11 * u0 + a12 * du0
+        dn = a21 * u0 + a11 * du0
+        phi = np.arctan2(w * u0, du0)
+        crossed = np.floor((phi + t) / _PI) - np.floor(phi / _PI)
+        flipped = (u0 != 0.0) & ((un == 0.0) | ((u0 > 0.0) != (un > 0.0)))
+        zeros[..., :m] += np.where(osc, crossed, flipped)
+        scale = np.where(osc, 0.0, t)
+        # pure decaying branch annihilated by the rescaled transfer: it shrinks by exp(-kappa*d)
+        dead = ~osc & (un == 0.0) & (dn == 0.0)
+        if dead.any():
+            un, dn = np.where(dead, u0, un), np.where(dead, -w * u0, dn)
+            scale = np.where(dead, -t, scale)
+        r = np.sqrt(un * un + dn * dn)
+        if not r.all():
             raise NumericalError("solution vector vanished during propagation")
-        u, du = un / r, dn / r
-    if bc_right == "D":
-        return zeros - (1 if u == 0.0 else 0)
-    return zeros + (1 if u * du < 0.0 else 0)
+        np.divide(un, r, out=u0)
+        np.divide(dn, r, out=du0)
+        g[..., :m] += scale + np.log(r)
+        del coefficients, osc, w, t, a11, a12, a21, un, dn, phi, crossed, scale, r  # freed before the next slot
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return tuple(a[..., back] for a in (zeros, u, du, g))
+
+
+def _end_rule(zeros, u, du, bc: str):
+    """Counts from a column's zeros and end value under a ``bc`` right end.
+
+    A zero at a Dirichlet end means 0 is itself an eigenvalue, excluded from
+    the (strictly) negative count; a Neumann end adds one when u*u' < 0.
+    """
+    return zeros - (u == 0.0) if bc == "D" else zeros + (u * du < 0.0)
+
+
+def _segment_counts(sweep):
+    """Per-segment ``(d, n)`` of a ``_sweep``, each of shape (envelopes, segments).
+
+    ``d`` counts each segment with Dirichlet ends (column 1), ``n`` with
+    Neumann ends (column 0).
+    """
+    zeros, u, du, _ = sweep
+    d = _end_rule(zeros[:, 1], u[:, 1], du[:, 1], "D")
+    n = _end_rule(zeros[:, 0], u[:, 0], du[:, 0], "N")
+    return d.astype(np.int64), n.astype(np.int64)
+
+
+def _interface_negatives(diag, b2) -> int:
+    """Negative pivots of the LDL^T factorization of a symmetric tridiagonal S.
+
+    ``b2[i]`` is the squared entry that couples rows i and i+1.  An exactly
+    zero pivot counts as nonnegative and is replaced by a tiny positive
+    value: the count is that of S plus a vanishing positive diagonal shift,
+    which excludes a zero eigenvalue as the strict count must.
+    """
+    count, d = 0, math.inf  # first iteration reduces to d = a
+    for a, b in zip(diag, itertools.chain([0.0], b2)):
+        d = a - b / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = math.ulp(0.0)
+    if math.isnan(d):
+        raise NumericalError("interface factorization produced NaN")
+    return count
+
+
+def _domain_count(zeros, u, du, g, bc_left: str, bc_right: str) -> int:
+    """Count on one envelope's segments (``_sweep`` arrays of shape (2, segments)).
+
+    The first segment takes the left end condition (column 0 when it is
+    Neumann), the last one the right end rule, and every cut is Dirichlet on
+    both sides: N = sum_k N(segment k) + neg(S), S on the interior cuts.  A
+    segment's DtN entries are m11/m12 = (u0/u1)*exp(g0 - g1), m22/m12 =
+    du1/u1 and -1/m12 = -exp(-g1)/u1; an end segment with a Neumann outer end
+    gives its one cut m21/m11 = du0/u0 (first) or m21/m22 = (du0/du1)*exp(g0
+    - g1) (last), the Schur complement of that end node.
+    """
+    first = 0 if bc_left == "N" else 1  # the column that meets the left end condition
+    z, uu, dd = zeros[1].copy(), u[1].copy(), du[1].copy()
+    z[0], uu[0], dd[0] = zeros[first, 0], u[first, 0], du[first, 0]
+    count = int(_end_rule(z[:-1], uu[:-1], dd[:-1], "D").sum() + _end_rule(z[-1], uu[-1], dd[-1], bc_right))
+    if len(z) == 1:
+        return count
+    # node k (1 <= k < K) is the cut between segments k-1 and k
+    num, den = u[0, 1:].copy(), u[1, 1:].copy()
+    if bc_right == "N":
+        num[-1], den[-1] = du[0, -1], du[1, -1]
+    if not (uu[:-1].all() and den.all()):
+        raise NumericalError("a segment has an eigenvalue at exactly 0: it has no Dirichlet-to-Neumann map")
+    diag = dd[:-1] / uu[:-1] + num / den * np.exp(g[0, 1:] - g[1, 1:])
+    b2 = np.square(np.exp(-g[1, 1:-1]) / u[1, 1:-1])  # couplings of the interior segments
+    return count + _interface_negatives(diag.tolist(), b2.tolist())
 
 
 def count_negative_exact(
     q: PiecewisePotential, bc_left: str = "D", bc_right: str = "D"
 ) -> CountCertificate:
-    """Exact count of negative eigenvalues of -u'' + q u with the given ends."""
+    """Exact count of negative eigenvalues of -u'' + q u with the given ends.
+
+    The segments are the runs of equal values, so a potential of distinct
+    values takes one vectorized slot plus the interface factorization, and a
+    constant one is a single walk.
+    """
     _check_bc(bc_left)
     _check_bc(bc_right)
     if len(q.values) == 0:
         raise ValueError("empty piece list")
     if not np.all(np.isfinite(q.values)):
         raise ValueError("piece values must be finite")
-    n = _propagate_count(q.lengths, q.values, bc_left, bc_right)
+    v = q.values
+    cuts = np.append(np.flatnonzero(np.append(True, v[1:] != v[:-1])), len(v))
+    n = _domain_count(*(a[0] for a in _sweep(q.lengths, (v,), cuts)), bc_left, bc_right)
     return CountCertificate(n_lo=n, n_hi=n, method="prufer-exact")
 
 
@@ -378,17 +463,13 @@ def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iter
 
 
 def _whole_domain(real, pert: Perturbation, bc: str, refine: int):
-    """``count_with_bracketed_w``'s certificate plus the level arrays it stopped on."""
-    for _, level in _levels(real, pert, refine):
-        lengths, q_shallow, q_deep, _ = level
-        n_lo = _propagate_count(lengths, q_shallow, bc, bc)
-        n_hi = _propagate_count(lengths, q_deep, bc, bc)
+    """``count_with_bracketed_w``'s certificate plus the (shallow, deep) ``_sweep`` of its last level."""
+    for _, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
+        sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
+        n_lo, n_hi = (_domain_count(*(a[e] for a in sweep), bc, bc) for e in (0, 1))
         if n_hi - n_lo <= 1:
             break
-    cert = CountCertificate(
-        n_lo=n_lo, n_hi=n_hi, method="prufer-exact", converged=(n_hi - n_lo <= 1)
-    )
-    return cert, level
+    return CountCertificate(n_lo=n_lo, n_hi=n_hi, method="prufer-exact", converged=n_hi - n_lo <= 1), sweep
 
 
 def count_with_bracketed_w(
@@ -409,45 +490,6 @@ def count_with_bracketed_w(
     return _whole_domain(real, pert, bc, refine)[0]
 
 
-def _segment_counts(lengths, values, seg_idx, bc: str) -> np.ndarray:
-    """``_propagate_count`` of every renewal interval, ``bc`` at both ends, in one sweep.
-
-    ``np.arctan2`` and ``np.hypot`` can differ from ``math``'s by an ulp, so
-    counts can differ from the scalar counter's only at near-ties.
-    """
-    neg, om, t, c11, c12, c21, c22 = _piece_coefficients(lengths, values)
-    order = np.argsort(-np.diff(seg_idx), kind="stable")
-    starts, npieces = seg_idx[:-1][order], np.diff(seg_idx)[order]
-    # with segments in descending piece count, slot j updates the prefix with more than j pieces
-    active = np.searchsorted(-npieces, -np.arange(npieces.max(initial=0)), side="left")
-    u = np.full(len(starts), 0.0 if bc == "D" else 1.0)  # (u, du) starts at (0, 1) for D, (1, 0) for N
-    du = 1.0 - u
-    zeros = np.zeros(len(starts))
-    for j, m in enumerate(active.tolist()):
-        p, u0, du0 = starts[:m] + j, u[:m], du[:m]
-        osc, w = neg[p], om[p]
-        un = c11[p] * u0 + c12[p] * du0
-        dn = c21[p] * u0 + c22[p] * du0
-        # oscillating pieces: multiples of pi crossed by the local phase;
-        # convex pieces gain at most one zero
-        phi = np.arctan2(w * u0, du0)
-        crossed = np.floor((phi + t[p]) / _PI) - np.floor(phi / _PI)
-        flipped = (u0 != 0.0) & ((un == 0.0) | ((u0 > 0.0) != (un > 0.0)))
-        zeros[:m] += np.where(osc, crossed, flipped)
-        # pure decaying branch annihilated by the rescaled transfer
-        dead = ~osc & (un == 0.0) & (dn == 0.0)
-        un, dn = np.where(dead, u0, un), np.where(dead, -w * u0, dn)
-        r = np.hypot(un, dn)
-        if not r.all():
-            raise NumericalError("solution vector vanished during propagation")
-        u[:m], du[:m] = un / r, dn / r
-    if bc == "D":
-        zeros -= u == 0.0
-    else:
-        zeros += u * du < 0.0
-    return zeros[np.argsort(order)].astype(np.int64)
-
-
 def sandwich_counts(
     real: PotentialRealization,
     pert: Perturbation,
@@ -460,10 +502,9 @@ def sandwich_counts(
     n_D <= n_lo <= n_hi <= n_N, not just a statistical tendency.  The
     interval sums are taken once, on the level where the certificate stopped.
     """
-    cert, (lengths, q_shallow, q_deep, seg_idx) = _whole_domain(real, pert, "D", refine)
-    n_d = int(_segment_counts(lengths, q_shallow, seg_idx, "D").sum())
-    n_n = int(_segment_counts(lengths, q_deep, seg_idx, "N").sum())
-    return n_d, cert, n_n
+    cert, sweep = _whole_domain(real, pert, "D", refine)
+    d, n = _segment_counts(sweep)
+    return int(d[0].sum()), cert, int(n[1].sum())
 
 
 def bracket_certificate(
@@ -479,10 +520,10 @@ def bracket_certificate(
     envelope refinement converges.
     """
     for final, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
-        d_per = _segment_counts(lengths, q_shallow, seg_idx, "D")
-        n_per = _segment_counts(lengths, q_deep, seg_idx, "N")
+        d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
+        d_per, n_per = d[0], n[1]
         # refinement narrows only the envelope slack; the D/N gap itself remains
-        if final or _segment_counts(lengths, q_deep, seg_idx, "D").sum() - d_per.sum() <= 1:
+        if final or d[1].sum() - d_per.sum() <= 1:
             break
     return CountCertificate(n_lo=int(d_per.sum()), n_hi=int(n_per.sum()), method="bracket-DN",
                             per_interval=IntervalCounts(d_per, n_per), converged=True)

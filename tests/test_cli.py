@@ -88,6 +88,17 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args,named", [
+    (["workers=-3", "refine=4"], "workers"),
+    (["workers=1", "refine=0"], "refinement budget"),
+], ids=["negative-workers", "zero-refine"])
+def test_bad_borderline_run_setting_is_a_usage_error(tmp_path, capsys, args, named):
+    code, _, err = run(capsys, "borderline", "dist=exp", "eta=1", "l=0.25", "h=1", "Xs=10,20", "trials=1",
+                       *args, f"out={tmp_path / 'o'}")
+    assert code == 2 and named in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_key_rejected(capsys):
     code, _, err = run(capsys, "generate", "dist=exp", "eta=1", "l=0.5", "h=1", "X=10", "seed=1", "bogus=3")
     assert code == 2

@@ -15,6 +15,7 @@ from randkp import (
     run_experiment,
     run_trial,
 )
+from randkp import montecarlo
 from randkp.montecarlo import summary_csv_rows, trial_csv_rows
 
 PI = math.pi
@@ -191,6 +192,36 @@ def test_config_validation():
         small_cfg(bc_mode="periodic")
     with pytest.raises(ValueError):
         small_cfg(h=math.inf)
+
+
+def test_refine_budget_validated():
+    with pytest.raises(ValueError, match="refinement budget"):
+        small_cfg(refine=0)
+
+
+def test_pool_is_capped_at_trial_count(monkeypatch):
+    # a stand-in pool records its size and maps serially, so no process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    cfg = small_cfg(trials=2, checkpoints=(100.0, 200.0))
+    assert run_experiment(cfg, workers=3).trials == run_experiment(cfg, workers=1).trials
+    assert sizes == [2]
+    run_experiment(small_cfg(trials=1, checkpoints=(100.0,)), workers=3)
+    assert sizes == [2]  # one trial runs in this process
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from randkp import (
     Perturbation,
     PiecewisePotential,
     WellGeometry,
+    borderline,
     bracket_certificate,
     build_realization,
     count_negative_exact,
@@ -21,11 +23,16 @@ from randkp import (
     edge_penetration_depth,
     fd_inertia_count,
     sample_gaps,
+    sample_realization,
     sandwich_counts,
     well_ground_asymptotic,
     well_ground_state,
 )
-from randkp.spectral import IntervalCounts, _edge_matching, _levels, _propagate_count, _segment_counts
+from randkp.spectral import (
+    IntervalCounts, _domain_count, _edge_matching, _levels, _interface_negatives, _segment_counts, _sweep,
+)
+
+from prufer_oracle import propagate_count
 
 PI = math.pi
 
@@ -287,13 +294,83 @@ def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
         for _, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
-            for values in (q_shallow, q_deep):
-                for bc in ("D", "N"):
+            d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
+            for e, values in enumerate((q_shallow, q_deep)):
+                for bc, got in (("D", d[e]), ("N", n[e])):
                     expected = [
-                        _propagate_count(lengths[a:b], values[a:b], bc, bc)
+                        propagate_count(lengths[a:b], values[a:b], bc, bc)
                         for a, b in zip(seg_idx[:-1], seg_idx[1:])
                     ]
-                    assert _segment_counts(lengths, values, seg_idx, bc).tolist() == expected
+                    assert got.tolist() == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=1, max_size=40),
+    l=st.sampled_from([0.05, 0.25, 0.5]),
+    h=st.sampled_from([0.5, 2.0, 100.0, 1e8]),
+    reach_share=st.floats(0.05, 1.0),
+    refine=st.sampled_from([4, 16]),
+)
+def test_whole_domain_count_equals_scalar_counter(gaps, l, h, reach_share, refine):
+    # segment Dirichlet counts plus the interface Schur complement against one
+    # walk over the whole domain, from weak (h <= 2) to stiff (h = 1e8) barriers
+    X = reach_share * (sum(gaps) + 2.0 * l * len(gaps))
+    real = build_realization(gaps, l=l, h=h, X=X)
+    for mult in (0.5, 4.0):
+        pert = Perturbation.log_power(mult * PI**2, 2.0)
+        for _, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
+            sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
+            for e, values in enumerate((q_shallow, q_deep)):
+                for bc in ("D", "N"):
+                    got = _domain_count(*(a[e] for a in sweep), bc, bc)
+                    assert got == propagate_count(lengths, values, bc, bc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(
+            st.floats(0.01, 5.0),
+            st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 8.0)).map(
+                lambda se: se[0] * 10.0 ** se[1])),
+        ),
+        min_size=1, max_size=150,
+    ),
+    bc_left=st.sampled_from(["D", "N"]),
+    bc_right=st.sampled_from(["D", "N"]),
+)
+def test_exact_counter_equals_scalar_counter(pieces, bc_left, bc_right):
+    # up to 150 pieces, cut at every change of value; |q| up to 1e8
+    lengths, values = np.array(pieces).T
+    q = PiecewisePotential(np.concatenate([[0.0], np.cumsum(lengths)]), values)
+    expected = propagate_count(q.lengths, q.values, bc_left, bc_right)
+    assert count_negative_exact(q, bc_left, bc_right).n_lo == expected
+
+
+def test_exact_zero_pivot_is_not_negative():
+    # [[1, 1], [1, 1]] has eigenvalues 0 and 2: its last pivot is exactly 0 and is no negative mode
+    assert _interface_negatives([1.0, 1.0], [1.0]) == 0
+    # [[1, 1, 0], [1, 1, 1], [0, 1, 1]] has eigenvalues 1 - sqrt(2), 1, 1 + sqrt(2): the zero
+    # pivot in the middle becomes tiny and positive, so the next one is the negative mode
+    assert _interface_negatives([1.0, 1.0, 1.0], [1.0, 1.0]) == 1
+    # q == 0 on three pieces under N-N: the constant function is an eigenvector at exactly 0
+    assert count_negative_exact(PiecewisePotential(np.array([0.0, 1.0, 6.0, 7.0]), np.zeros(3)), "N", "N").n_lo == 0
+
+
+def test_whole_domain_count_memory_is_bounded():
+    # one X = 1e5 count holds no per-piece Python objects: about 55 MB, where a
+    # scalar walk over list copies of the piece arrays peaks near 110 MB
+    dist = GapDistribution.exponential(1.0)
+    real = sample_realization(dist, 0.25, 100.0, 1e5, np.random.default_rng(1))
+    pert = borderline(dist).perturbation(4.0)
+    tracemalloc.start()
+    try:
+        count_with_bracketed_w(real, pert, "D", refine=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
 
 
 def test_per_interval_counts_are_an_immutable_int_sequence():
