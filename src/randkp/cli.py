@@ -41,15 +41,24 @@ class UsageError(Exception):
 
 _REQUIRED = object()
 
-_DIST_PARAMS = {
-    "exp": ("eta",),
-    "stretched": ("eta", "alpha"),
-    "pareto": ("xm", "alpha"),
-    "geom": ("q",),
-    "bernoulli": ("p",),
+# model tables: kind -> (constructor, parameter keys in argument order)
+_DISTS = {
+    "exp": (GapDistribution.exponential, ("eta",)),
+    "stretched": (GapDistribution.stretched_exponential, ("eta", "alpha")),
+    "pareto": (GapDistribution.pareto, ("xm", "alpha")),
+    "geom": (GapDistribution.geometric, ("q",)),
+    "bernoulli": (lambda p: GapDistribution.geometric(1.0 - p), ("p",)),  # gaps are runs of empty cells
 }
-# every dist parameter, optional on each command that takes dist=
-_DIST_KEYS = {par: (float, None) for pars in _DIST_PARAMS.values() for par in pars}
+_ENVELOPES = {
+    "logpower": (Perturbation.log_power, ("C", "s")),
+    "powerlaw": (Perturbation.power_law, ("A", "beta")),
+    "constant": (Perturbation.constant, ("w",)),
+}
+
+
+def _param_keys(table) -> Dict[str, tuple]:
+    """Every parameter key of a model table, optional on each command that takes the table's kind key."""
+    return {par: (float, None) for _, pars in table.values() for par in pars}
 
 
 def _float_list(text: str) -> List[float]:
@@ -65,15 +74,13 @@ def _float_list(text: str) -> List[float]:
 # key -> (converter, default); _REQUIRED marks keys that must be supplied
 _COMMAND_KEYS = {
     "generate": {
-        "dist": (str, _REQUIRED), **_DIST_KEYS,
+        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
         "l": (float, None), "h": (float, _REQUIRED), "X": (float, _REQUIRED),
         "seed": (int, _REQUIRED), "out": (str, None),
     },
     "count": {
         "in": (str, _REQUIRED),
-        "W": (str, _REQUIRED),
-        "C": (float, None), "s": (float, None), "A": (float, None),
-        "beta": (float, None), "w": (float, None),
+        "W": (str, _REQUIRED), **_param_keys(_ENVELOPES),
         "refine": (int, 64), "out": (str, None),
     },
     "well": {
@@ -81,7 +88,7 @@ _COMMAND_KEYS = {
         "Ls": (_float_list, _REQUIRED), "bc": (str, "D"), "out": (str, None),
     },
     "borderline": {
-        "dist": (str, _REQUIRED), **_DIST_KEYS,
+        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
         "multipliers": (_float_list, [0.25, 4.0]),
         "Xs": (_float_list, [1e3, 1e4, 1e5]),
         "trials": (int, 100), "seed": (int, 0),
@@ -91,7 +98,7 @@ _COMMAND_KEYS = {
         "out": (str, _REQUIRED),
     },
     "expect": {
-        "dist": (str, _REQUIRED), **_DIST_KEYS,
+        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
         "ws": (_float_list, _REQUIRED),
         "samples": (int, 10**5), "seed": (int, 0), "out": (str, None),
     },
@@ -166,60 +173,35 @@ def _resolve(command: str, tokens: Sequence[str]) -> Dict[str, object]:
     return resolved
 
 
-def _build_dist(resolved: Dict[str, object], allow_bernoulli: bool = False) -> tuple:
-    """(gap law, lattice p); the bernoulli cell model has geometric(1 - p) gaps, other laws p = None."""
-    kind = resolved["dist"]
-    if kind not in _DIST_PARAMS:
-        raise UsageError(f"unknown dist {kind!r} (use {'|'.join(_DIST_PARAMS)})")
-    if kind == "bernoulli" and not allow_bernoulli:
-        raise UsageError("dist=bernoulli is not supported by this command")
-    needed = _DIST_PARAMS[kind]
+def _model(resolved: Dict[str, object], key: str, table):
+    """The ``key=`` model (``dist`` or ``W``) built from ``table``; keys of another kind are usage errors."""
+    kind = resolved[key]
+    if kind not in table:
+        raise UsageError(f"unknown {key} {kind!r} (use {'|'.join(table)})")
+    make, needed = table[kind]
     for par in needed:
         if par not in resolved:
-            raise UsageError(f"missing required key '{par}' for dist={kind}")
-    extraneous = [par for par in _DIST_KEYS if par in resolved and par not in needed]
+            raise UsageError(f"missing required key '{par}' for {key}={kind}")
+    extraneous = [par for par in _param_keys(table) if par in resolved and par not in needed]
     if extraneous:
-        raise UsageError(f"key(s) {sorted(extraneous)} not used by dist={kind}")
-    if kind == "exp":
-        return GapDistribution.exponential(resolved["eta"]), None
-    if kind == "stretched":
-        return GapDistribution.stretched_exponential(resolved["eta"], resolved["alpha"]), None
-    if kind == "pareto":
-        return GapDistribution.pareto(resolved["xm"], resolved["alpha"]), None
-    if kind == "geom":
-        return GapDistribution.geometric(resolved["q"]), None
-    if not 0.0 < resolved["p"] < 1.0:
-        raise UsageError("dist=bernoulli needs p in (0, 1)")
-    return GapDistribution.geometric(1.0 - resolved["p"]), resolved["p"]
+        raise UsageError(f"key(s) {sorted(extraneous)} not used by {key}={kind}")
+    return make(*(resolved[par] for par in needed))
 
 
 def _realization_model(command: str, resolved: Dict[str, object]) -> tuple:
-    """``_build_dist`` for commands that sample bumps: the lattice sets l = 0.5, other laws need l."""
-    dist, lattice_p = _build_dist(resolved, allow_bernoulli=True)
+    """(gap law, lattice p) for commands that sample bumps: bernoulli needs p in (0, 1) and
+    fixes l = 0.5; other laws have p = None and need l."""
+    lattice_p = resolved.get("p") if resolved["dist"] == "bernoulli" else None
+    if lattice_p is not None and not 0.0 < lattice_p < 1.0:
+        raise UsageError("dist=bernoulli needs p in (0, 1)")
+    dist = _model(resolved, "dist", _DISTS)
     if lattice_p is not None:
-        if "l" in resolved and resolved["l"] != 0.5:
+        if resolved.get("l", 0.5) != 0.5:
             raise UsageError("dist=bernoulli fixes l=0.5; drop the l key")
         resolved["l"] = 0.5
     elif "l" not in resolved:
         raise UsageError(f"missing required key 'l' for {command}")
     return dist, lattice_p
-
-
-def _build_pert(resolved: Dict[str, object]) -> Perturbation:
-    kind = resolved["W"]
-    if kind == "logpower":
-        if "C" not in resolved or "s" not in resolved:
-            raise UsageError("W=logpower needs C= and s=")
-        return Perturbation.log_power(resolved["C"], resolved["s"])
-    if kind == "powerlaw":
-        if "A" not in resolved or "beta" not in resolved:
-            raise UsageError("W=powerlaw needs A= and beta=")
-        return Perturbation.power_law(resolved["A"], resolved["beta"])
-    if kind == "constant":
-        if "w" not in resolved:
-            raise UsageError("W=constant needs w=")
-        return Perturbation.constant(resolved["w"])
-    raise UsageError(f"unknown W kind {kind!r} (use logpower|powerlaw|constant)")
 
 
 def _fmt(value) -> str:
@@ -272,7 +254,7 @@ def cmd_generate(tokens: Sequence[str]) -> int:
 def cmd_count(tokens: Sequence[str]) -> int:
     resolved = _resolve("count", tokens)
     real = load_realization(resolved["in"])
-    pert = _build_pert(resolved)
+    pert = _model(resolved, "W", _ENVELOPES)
     n_d, cert, n_n = sandwich_counts(real, pert, refine=resolved["refine"])
     rows = [("whole-domain", cert.n_lo, cert.n_hi), ("bracket-DN", n_d, n_n)]
     _write_csv(resolved.get("out"), "count", resolved, ("method", "n_lo", "n_hi"), rows)
@@ -281,8 +263,6 @@ def cmd_count(tokens: Sequence[str]) -> int:
 
 def cmd_well(tokens: Sequence[str]) -> int:
     resolved = _resolve("well", tokens)
-    if resolved["bc"] not in ("D", "N"):
-        raise UsageError("bc must be D or N")
     rows = []
     for L in resolved["Ls"]:
         geom = WellGeometry(L=L, l=resolved["l"], h=resolved["h"], bc=resolved["bc"])
@@ -337,7 +317,9 @@ def cmd_borderline(tokens: Sequence[str]) -> int:
 
 def cmd_expect(tokens: Sequence[str]) -> int:
     resolved = _resolve("expect", tokens)
-    dist, _ = _build_dist(resolved)
+    if resolved["dist"] == "bernoulli":
+        raise UsageError("dist=bernoulli is not supported by this command")
+    dist = _model(resolved, "dist", _DISTS)
     rows = []
     for w in resolved["ws"]:
         est = estimate_expected_count(dist, w, resolved["samples"], resolved["seed"])

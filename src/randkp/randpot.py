@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Optional, Sequence, Tuple, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,15 +175,13 @@ class Perturbation:
     """Nonnegative, nonincreasing envelope ``W(x)`` subtracted from the operator.
 
     Kinds: ``logpower`` is ``C / log(x+e)**s``, ``powerlaw`` is
-    ``A * (x+1)**-beta``, ``constant`` is a flat level (meant for finite
-    intervals only), and ``tabulated`` interpolates knots linearly with
-    flat extrapolation.
+    ``A * (x+1)**-beta``, and ``constant`` is a flat level (meant for
+    finite intervals only).
     """
 
     kind: str
     amplitude: float = 0.0
     exponent: float = 0.0
-    knots: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.kind in ("logpower", "powerlaw"):
@@ -194,17 +192,6 @@ class Perturbation:
         elif self.kind == "constant":
             if not 0 <= self.amplitude < math.inf:
                 raise ValueError(f"constant perturbation needs a finite level w >= 0, got w={self.amplitude!r}")
-        elif self.kind == "tabulated":
-            if len(self.knots) < 1:
-                raise ValueError("tabulated perturbation needs at least one knot")
-            xs = np.array([k[0] for k in self.knots], dtype=float)
-            ws = np.array([k[1] for k in self.knots], dtype=float)
-            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ws))):
-                raise ValueError("tabulated knots must be finite")
-            if np.any(np.diff(xs) <= 0):
-                raise ValueError("tabulated knots must have strictly increasing positions")
-            if np.any(ws < 0) or np.any(np.diff(ws) > 0):
-                raise ValueError("tabulated values must be nonnegative and nonincreasing")
         else:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
 
@@ -220,22 +207,14 @@ class Perturbation:
     def constant(cls, w: float) -> "Perturbation":
         return cls("constant", amplitude=w)
 
-    @classmethod
-    def tabulated(cls, knots: Sequence[Tuple[float, float]]) -> "Perturbation":
-        return cls("tabulated", knots=tuple((float(x), float(w)) for x, w in knots))
-
     def __call__(self, x: ArrayLike) -> ArrayLike:
         arr = np.asarray(x, dtype=float)
         if self.kind == "logpower":
             out = self.amplitude / np.log(arr + math.e) ** self.exponent
         elif self.kind == "powerlaw":
             out = self.amplitude * (arr + 1.0) ** (-self.exponent)
-        elif self.kind == "constant":
-            out = np.full_like(arr, self.amplitude)
         else:
-            xs = np.array([k[0] for k in self.knots], dtype=float)
-            ws = np.array([k[1] for k in self.knots], dtype=float)
-            out = np.interp(arr, xs, ws)
+            out = np.full_like(arr, self.amplitude)
         return float(out) if np.ndim(x) == 0 else out
 
 

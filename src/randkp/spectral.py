@@ -31,7 +31,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -328,8 +328,6 @@ def count_negative_exact(
     """
     _check_bc(bc_left)
     _check_bc(bc_right)
-    if len(q.values) == 0:
-        raise ValueError("empty piece list")
     if not np.all(np.isfinite(q.values)):
         raise ValueError("piece values must be finite")
     v = q.values
@@ -363,19 +361,18 @@ def fd_inertia_count(
     q_eval: Callable[[np.ndarray], np.ndarray],
     X: float,
     n_mesh: int,
-    bc: Union[str, Tuple[str, str]] = "D",
+    bc: str = "D",
 ) -> int:
     """Negative eigenvalues of the finite-difference discretization on [0, X].
 
     Standard second-order stencil on ``n_mesh`` interior points with step
-    X/(n_mesh+1); Neumann ends add the boundary point with a mirrored
-    ghost-node row (first-order accurate there, which is fine because only
-    the count is used).  The count is the number of negative pivots of the
-    tridiagonal factorization, by Sylvester's law of inertia.
+    X/(n_mesh+1) and ``bc`` at both ends; Neumann ends add the boundary
+    point with a mirrored ghost-node row (first-order accurate there, which
+    is fine because only the count is used).  The count is the number of
+    negative pivots of the tridiagonal factorization, by Sylvester's law of
+    inertia.
     """
-    bl, br = (bc, bc) if isinstance(bc, str) else bc
-    _check_bc(bl)
-    _check_bc(br)
+    _check_bc(bc)
     if n_mesh < 10:
         raise ValueError("mesh too coarse: need n_mesh >= 10")
     if not X > 0:
@@ -386,10 +383,8 @@ def fd_inertia_count(
         raise ValueError("q_eval must return finite values on the grid")
     inv2 = 1.0 / (grid[1] - grid[0]) ** 2
     diag = 2.0 * inv2 + qs[1:-1]
-    if bl == "N":
-        diag = np.concatenate([[inv2 + 0.5 * qs[0]], diag])
-    if br == "N":
-        diag = np.concatenate([diag, [inv2 + 0.5 * qs[-1]]])
+    if bc == "N":
+        diag = np.concatenate([[inv2 + 0.5 * qs[0]], diag, [inv2 + 0.5 * qs[-1]]])
     b2 = inv2 * inv2
     try:
         return _negative_pivots(diag.tolist(), b2)
@@ -435,8 +430,8 @@ def _subdivide(edges, values, seg_edge_idx, pert: Perturbation, s: int):
     return lengths, q_shallow, q_deep, seg_sub_idx
 
 
-def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iterator[Tuple[bool, tuple]]:
-    """Yield ``(final, (lengths, q_shallow, q_deep, seg_idx))`` per refinement level.
+def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iterator[tuple]:
+    """Yield ``(lengths, q_shallow, q_deep, seg_idx)`` per refinement level.
 
     The base grid cuts [0, X] at bump edges, bump centers and the domain
     ends.  Centers are included so the renewal-interval partition
@@ -444,7 +439,7 @@ def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iter
     whole-domain count can then share one envelope grid, which makes the
     two-sided comparison exact rather than merely statistical.  One base
     grid serves every level; sub-pieces per well go 4, 8, ... up to
-    ``refine``, and ``final`` marks the last level the budget allows.
+    ``refine``.
     """
     if refine < 1:
         raise ValueError("refinement budget must be >= 1")
@@ -456,7 +451,7 @@ def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iter
     seg_edge_idx = np.searchsorted(edges, np.concatenate([[0.0], inside, [X]]))
     s = min(4, refine)
     while True:
-        yield s >= refine, _subdivide(edges, values, seg_edge_idx, pert, s)
+        yield _subdivide(edges, values, seg_edge_idx, pert, s)
         if s >= refine:
             return
         s = min(2 * s, refine)
@@ -464,7 +459,7 @@ def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iter
 
 def _whole_domain(real, pert: Perturbation, bc: str, refine: int):
     """``count_with_bracketed_w``'s certificate plus the (shallow, deep) ``_sweep`` of its last level."""
-    for _, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
+    for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
         sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
         n_lo, n_hi = (_domain_count(*(a[e] for a in sweep), bc, bc) for e in (0, 1))
         if n_hi - n_lo <= 1:
@@ -519,11 +514,11 @@ def bracket_certificate(
     side of the envelope, so the pair brackets the true count even before
     envelope refinement converges.
     """
-    for final, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
+    for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
         d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
         d_per, n_per = d[0], n[1]
         # refinement narrows only the envelope slack; the D/N gap itself remains
-        if final or d[1].sum() - d_per.sum() <= 1:
+        if d[1].sum() - d_per.sum() <= 1:
             break
     return CountCertificate(n_lo=int(d_per.sum()), n_hi=int(n_per.sum()), method="bracket-DN",
                             per_interval=IntervalCounts(d_per, n_per), converged=True)

@@ -167,21 +167,17 @@ def _integrated_tail(dist: GapDistribution, a: float) -> float:
     if dist.kind == "geometric":
         m = math.ceil(a)
         return (m - a) * dist.q**m + dist.q ** (m + 1) / (1.0 - dist.q)
-    # stretched exponential: adaptive quadrature
-    from scipy.integrate import quad  # imported here: ~0.7 s and ~80 MB that no other path needs
-    eta, al = dist.eta, dist.alpha
-    val, _err = quad(
-        lambda x: math.exp(-eta * x**al / al), a, np.inf, epsrel=1e-10, limit=200
-    )
-    return val
+    # stretched exponential: t = eta*x**alpha/alpha turns the integral into mean * Q(1/alpha, t(a))
+    from scipy.special import gammaincc  # imported here: ~0.3 s that no other path needs
+    return dist.mean() * float(gammaincc(1.0 / dist.alpha, dist.eta * a**dist.alpha / dist.alpha))
 
 
 def expectation_bounds(dist: GapDistribution, w: float) -> Tuple[float, float]:
     """Two-sided bounds on the expected count for one well of weight ``w``.
 
     With a = pi/sqrt(w):  sqrt(w)/pi * integral_a^inf F  <=  E[count]  <=
-    the same plus F(a).  Closed form for exponential / pareto / geometric
-    tails, quadrature (rel. tol 1e-10) for the stretched family.
+    the same plus F(a), in closed form for all four tails (the stretched
+    one through the regularized upper incomplete gamma function).
     """
     if not w > 0:
         raise ValueError("weight must be positive")

@@ -20,9 +20,10 @@ def test_every_export_resolves(module):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate serves only the stretched-law quadrature, so a CLI call should not pay its import
+    # scipy.special serves only the stretched-law tail integral, so a CLI call should not pay its
+    # import; scipy.integrate is not used at all
     src = os.path.dirname(os.path.dirname(os.path.abspath(randkp.__file__)))
-    code = "import sys, randkp.cli; print('scipy.integrate' in sys.modules)"
+    code = "import sys, randkp.cli; print([m in sys.modules for m in ('scipy.integrate', 'scipy.special')])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

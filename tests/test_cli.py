@@ -170,6 +170,20 @@ def test_non_finite_model_parameter_is_a_usage_error(realization_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, named", [
+    (["count", "W=constant", "w=1", "C=3"], "['C']"),
+    (["count", "W=logpower", "C=20", "s=2", "beta=1"], "['beta']"),
+    (["generate", "dist=exp", "eta=1", "q=0.3", "l=0.25", "h=1", "X=10", "seed=1"], "['q']"),
+    (["well", "h=1", "l=1", "Ls=25", "bc=X"], "'X'"),
+], ids=["count-constant-C", "count-logpower-beta", "generate-exp-q", "well-bad-bc"])
+def test_unused_model_key_is_a_usage_error(realization_file, tmp_path, capsys, args, named):
+    out = tmp_path / "o.csv"
+    extra = [f"in={realization_file}"] if args[0] == "count" else []
+    code, _, err = run(capsys, *args, *extra, f"out={out}")
+    assert code == 2 and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_count_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("garbage\n")

@@ -259,14 +259,6 @@ def test_perturbation_shapes():
     assert np.all(c(xs) == 0.7)
 
 
-def test_tabulated_perturbation():
-    t = Perturbation.tabulated([(0.0, 2.0), (1.0, 1.0), (3.0, 0.5)])
-    assert t(0.5) == pytest.approx(1.5)
-    assert t(10.0) == pytest.approx(0.5)  # flat right extrapolation
-    with pytest.raises(ValueError):
-        Perturbation.tabulated([(0.0, 1.0), (1.0, 2.0)])  # increasing values
-
-
 def test_perturbation_validation():
     with pytest.raises(ValueError):
         Perturbation.log_power(0.0, 2.0)
@@ -282,13 +274,11 @@ def test_perturbation_validation():
     lambda: Perturbation.power_law(math.nan, 1.0),
     lambda: Perturbation.constant(math.nan),
     lambda: Perturbation.constant(math.inf),
-    lambda: Perturbation.tabulated([(0.0, math.inf), (1.0, 1.0)]),
-    lambda: Perturbation.tabulated([(0.0, 1.0), (math.nan, 0.5)]),
     lambda: build_realization([1.0], l=math.inf, h=1.0, X=1.0),
     lambda: build_realization([1.0], l=0.5, h=math.inf, X=1.0),
     lambda: build_realization([1.0], l=math.nan, h=1.0, X=1.0),
-], ids=["logpower-C", "logpower-s", "powerlaw-A", "constant-nan", "constant-inf", "tabulated-w",
-        "tabulated-x", "realization-l-inf", "realization-h-inf", "realization-l-nan"])
+], ids=["logpower-C", "logpower-s", "powerlaw-A", "constant-nan", "constant-inf",
+        "realization-l-inf", "realization-h-inf", "realization-l-nan"])
 def test_non_finite_model_parameters_rejected(make):
     with pytest.raises(ValueError):
         make()

@@ -293,7 +293,7 @@ def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
     real = build_realization(gaps, l=l, h=100.0, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
-        for _, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
+        for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
             d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc, got in (("D", d[e]), ("N", n[e])):
@@ -319,7 +319,7 @@ def test_whole_domain_count_equals_scalar_counter(gaps, l, h, reach_share, refin
     real = build_realization(gaps, l=l, h=h, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
-        for _, (lengths, q_shallow, q_deep, seg_idx) in _levels(real, pert, refine):
+        for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
             sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc in ("D", "N"):

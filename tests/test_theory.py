@@ -179,13 +179,21 @@ def test_pareto_hand_integral():
 
 
 def test_stretched_quadrature_agrees_with_exponential_at_alpha_one():
-    de = GapDistribution.exponential(1.3)
-    ds = GapDistribution.stretched_exponential(1.3, 1.0)
-    for w in (0.7, 2.0):
-        lo_e, hi_e = expectation_bounds(de, w)
-        lo_s, hi_s = expectation_bounds(ds, w)
-        assert lo_s == pytest.approx(lo_e, rel=1e-8)
-        assert hi_s == pytest.approx(hi_e, rel=1e-8)
+    for eta, w in ((1.3, 0.7), (1.3, 2.0), (2.0, 0.1)):
+        lo_e, hi_e = expectation_bounds(GapDistribution.exponential(eta), w)
+        lo_s, hi_s = expectation_bounds(GapDistribution.stretched_exponential(eta, 1.0), w)
+        assert lo_s == pytest.approx(lo_e, rel=1e-12, abs=0)
+        assert hi_s == pytest.approx(hi_e, rel=1e-12, abs=0)
+
+
+def test_stretched_closed_form_at_alpha_two():
+    # the tail exp(-eta x^2/2) integrates to sqrt(pi/(2 eta)) * erfc(a sqrt(eta/2)) over [a, inf)
+    for eta, w in ((0.5, 1.0), (2.0, 0.3), (1.0, 4.0)):
+        lo, hi = expectation_bounds(GapDistribution.stretched_exponential(eta, 2.0), w)
+        a = PI / math.sqrt(w)
+        expected = math.sqrt(w) / PI * math.sqrt(PI / (2 * eta)) * math.erfc(a * math.sqrt(eta / 2))
+        assert lo == pytest.approx(expected, rel=1e-12, abs=0)
+        assert hi == pytest.approx(lo + math.exp(-eta * a**2 / 2), rel=1e-12, abs=0)
 
 
 def test_geometric_integrated_tail():
