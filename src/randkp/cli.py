@@ -32,7 +32,7 @@ from .randpot import (
 )
 from .spectral import NumericalError, WellGeometry, sandwich_counts, well_ground_asymptotic, well_ground_state
 from .theory import borderline, expectation_bounds
-from .montecarlo import ExperimentConfig, estimate_expected_count, run_experiment, summary_csv_rows, trial_csv_rows
+from .montecarlo import ExperimentConfig, estimate_expected_count, run_experiment
 
 
 class UsageError(Exception):
@@ -162,8 +162,6 @@ def _resolve(command: str, tokens: Sequence[str]) -> Dict[str, object]:
         if key in raw:
             try:
                 resolved[key] = conv(raw[key])
-            except UsageError:
-                raise
             except (TypeError, ValueError):
                 raise UsageError(f"bad value for {key}: {raw[key]!r}") from None
         elif default is _REQUIRED:
@@ -205,8 +203,6 @@ def _realization_model(command: str, resolved: Dict[str, object]) -> tuple:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, (list, tuple)):
@@ -238,16 +234,12 @@ def _write_csv(out: Optional[str], command: str, resolved: Dict[str, object],
 def cmd_generate(tokens: Sequence[str]) -> int:
     resolved = _resolve("generate", tokens)
     dist, lattice_p = _realization_model("generate", resolved)
-    rng = np.random.default_rng(np.random.SeedSequence(resolved["seed"]))
+    rng = np.random.default_rng(resolved["seed"])
     if lattice_p is not None:
         real = bernoulli_lattice(lattice_p, resolved["X"], rng, h=resolved["h"])
     else:
         real = sample_realization(dist, resolved["l"], resolved["h"], resolved["X"], rng)
-    out = resolved.get("out")
-    if out is None:
-        save_realization(real, sys.stdout)
-    else:
-        save_realization(real, out)
+    save_realization(real, resolved.get("out", sys.stdout))
     return 0
 
 
@@ -301,16 +293,18 @@ def cmd_borderline(tokens: Sequence[str]) -> int:
         echo = dict(resolved)
         echo["multiplier"] = mult
         echo["borderline_constant"] = law.constant
-        prefix = resolved["out"]
+        prefix, xs = resolved["out"], cfg.checkpoints
         _write_csv(
             f"{prefix}_m{mult:g}_summary.csv", "borderline", echo,
             ("checkpoint_X", "mean", "median", "max", "growing_fraction"),
-            summary_csv_rows(report),
+            [(*stats, report.growing_fraction)
+             for stats in zip(xs, report.mean_counts, report.median_counts, report.max_counts)],
         )
         _write_csv(
             f"{prefix}_m{mult:g}_trials.csv", "borderline", echo,
             ("trial", "checkpoint_X", "n_lo", "n_hi", "max_gap", "k_count"),
-            trial_csv_rows(report),
+            [(t.index, x, cert.n_lo, cert.n_hi, mg, k)
+             for t in report.trials for x, cert, mg, k in zip(xs, t.certificates, t.max_gaps, t.k_counts)],
         )
     return 0
 

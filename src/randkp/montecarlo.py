@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "estimate_expected_count",
-    "trial_csv_rows",
-    "summary_csv_rows",
 ]
 
 @dataclass(frozen=True)
@@ -74,8 +72,8 @@ class ExperimentConfig:
         object.__setattr__(self, "checkpoints", cps)
         if self.bc_mode not in ("whole-domain", "bracket-DN"):
             raise ValueError("bc_mode must be 'whole-domain' or 'bracket-DN'")
-        if not (self.l > 0 and self.h > 0 and math.isfinite(self.h)):
-            raise ValueError("need finite positive bump geometry")
+        if not (0 < self.l < math.inf and 0 < self.h < math.inf):
+            raise ValueError(f"bump geometry needs finite l > 0 and h > 0, got l={self.l!r}, h={self.h!r}")
         if self.lattice_p is not None:
             if not 0.0 < self.lattice_p < 1.0:
                 raise ValueError("lattice occupation probability must lie in (0, 1)")
@@ -182,7 +180,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
 class CountEstimate:
     mean: float
     stderr: float
-    samples: int
 
 
 def estimate_expected_count(
@@ -191,26 +188,10 @@ def estimate_expected_count(
     """Monte Carlo mean of floor(sqrt(w)*L/pi) over i.i.d. gap draws."""
     if samples < 10**3:
         raise ValueError("need at least 1000 samples for a stable standard error")
-    if not w > 0:
-        raise ValueError("weight must be positive")
+    if not 0 < w < math.inf:
+        raise ValueError(f"weight must be positive and finite, got w={w!r}")
     vals = np.floor(math.sqrt(w) * sample_gaps(dist, samples, seed) / math.pi)
     return CountEstimate(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(samples)),
-        samples=samples,
     )
-
-
-def trial_csv_rows(report: GrowthReport) -> Iterator[Tuple]:
-    """(trial, checkpoint_X, n_lo, n_hi, max_gap, k_count) rows."""
-    for t in report.trials:
-        for x, cert, mg, k in zip(report.config.checkpoints, t.certificates, t.max_gaps, t.k_counts):
-            yield t.index, x, cert.n_lo, cert.n_hi, mg, k
-
-
-def summary_csv_rows(report: GrowthReport) -> Iterator[Tuple]:
-    """(checkpoint_X, mean, median, max, growing_fraction) rows."""
-    for x, mean, med, mx in zip(
-        report.config.checkpoints, report.mean_counts, report.median_counts, report.max_counts
-    ):
-        yield x, mean, med, mx, report.growing_fraction

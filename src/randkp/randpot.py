@@ -78,19 +78,20 @@ class GapDistribution:
 
     def __post_init__(self):
         if self.kind == "exponential":
-            if not self.eta > 0:
-                raise ValueError("exponential gap law needs rate eta > 0")
+            if not 0 < self.eta < math.inf:
+                raise ValueError(f"exponential gap law needs a finite rate eta > 0, got eta={self.eta!r}")
         elif self.kind == "stretched":
-            if not (self.eta > 0 and self.alpha > 0):
-                raise ValueError("stretched-exponential gap law needs eta > 0 and alpha > 0")
+            if not (0 < self.eta < math.inf and 0 < self.alpha < math.inf):
+                raise ValueError(f"stretched-exponential gap law needs finite eta > 0 and alpha > 0, "
+                                 f"got eta={self.eta!r}, alpha={self.alpha!r}")
         elif self.kind == "pareto":
-            if not self.x_m > 0:
-                raise ValueError("pareto gap law needs scale x_m > 0")
-            if not self.alpha > 1:
-                raise ValueError("pareto gap law needs alpha > 1 for a finite mean gap")
+            if not 0 < self.x_m < math.inf:
+                raise ValueError(f"pareto gap law needs a finite scale x_m > 0, got x_m={self.x_m!r}")
+            if not 1 < self.alpha < math.inf:
+                raise ValueError(f"pareto gap law needs a finite alpha > 1 (finite mean gap), got alpha={self.alpha!r}")
         elif self.kind == "geometric":
             if not 0.0 < self.q < 1.0:
-                raise ValueError("geometric gap law needs q in (0, 1)")
+                raise ValueError(f"geometric gap law needs q in (0, 1), got q={self.q!r}")
         else:
             raise ValueError(f"unknown gap-distribution kind {self.kind!r}")
 
@@ -157,8 +158,7 @@ def sample_gaps(dist: GapDistribution, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one gap")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return dist.sample(n, rng)
+    return dist.sample(n, np.random.default_rng(seed))
 
 
 def mean_spacing(dist: GapDistribution, l: float) -> float:
@@ -332,9 +332,8 @@ def bernoulli_lattice(
         raise ValueError("occupation probability p must lie in (0, 1)")
     if not 1.0 <= X < math.inf:
         raise ValueError("lattice realizations need a finite X >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(np.random.SeedSequence(seed))
     m = int(math.floor(X))
-    occupied = np.flatnonzero(rng.random(m) < p) + 1  # cell indices k >= 1
+    occupied = np.flatnonzero(np.random.default_rng(seed).random(m) < p) + 1  # cell indices k >= 1
     # the first gap runs from 0 to the first bump's left edge k - 1/2
     gaps = np.diff(occupied, prepend=-0.5) - 1.0
     reach = occupied[-1] + 0.5 if len(occupied) else 0.0

@@ -57,7 +57,7 @@ _PI = math.pi
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed past its built-in retry, or met an exact zero it cannot resolve."""
+    """A numerical routine met an exact zero it cannot resolve, or a count too large to hold exactly."""
 
 
 def _check_bc(bc: str) -> str:
@@ -145,7 +145,6 @@ class CountCertificate:
 
     n_lo: int
     n_hi: int
-    method: str
     per_interval: Optional[IntervalCounts] = None
     converged: bool = True
 
@@ -168,8 +167,9 @@ class WellGeometry:
     bc: str = "D"
 
     def __post_init__(self):
-        if not (self.L > 0 and self.l > 0 and self.h > 0):
-            raise ValueError("well geometry needs L, l, h all positive")
+        if not (0 < self.L < math.inf and self.l > 0 and 0 < self.h < math.inf):  # l = inf: a semi-infinite flank
+            raise ValueError(f"well geometry needs finite L > 0 and h > 0 and l > 0, "
+                             f"got L={self.L!r}, l={self.l!r}, h={self.h!r}")
         _check_bc(self.bc)
 
 
@@ -243,6 +243,8 @@ def _sweep(lengths, envelopes, seg_idx):
         np.divide(dn, r, out=du0)
         g[..., :m] += scale + np.log(r)
         del coefficients, osc, w, t, a11, a12, a21, un, dn, phi, crossed, scale, r  # freed before the next slot
+    if not zeros.sum() < 2.0**53:  # past 2**53 a float64 count is no longer exact
+        raise NumericalError(f"{zeros.sum():.3g} zeros: too many to count exactly")
     back = np.empty_like(order)
     back[order] = np.arange(len(order))
     return tuple(a[..., back] for a in (zeros, u, du, g))
@@ -333,7 +335,7 @@ def count_negative_exact(
     v = q.values
     cuts = np.append(np.flatnonzero(np.append(True, v[1:] != v[:-1])), len(v))
     n = _domain_count(*(a[0] for a in _sweep(q.lengths, (v,), cuts)), bc_left, bc_right)
-    return CountCertificate(n_lo=n, n_hi=n, method="prufer-exact")
+    return CountCertificate(n_lo=n, n_hi=n)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +345,17 @@ def count_negative_exact(
 def _negative_pivots(diag, b2: float) -> int:
     """Negative pivots of the symmetric tridiagonal LDL^T factorization.
 
-    ``b2`` is the common squared off-diagonal entry.  Raises ZeroDivisionError
-    on an exactly-zero pivot so the caller can retry with a shift.
+    ``b2`` is the common squared off-diagonal entry, a Python float so that
+    dividing by a tiny pivot gives inf without a numpy warning.  An exactly
+    zero pivot counts as nonnegative, by the rule of ``_interface_negatives``.
     """
-    count = 0
-    d = math.inf  # first iteration reduces to d = a
+    count, d = 0, math.inf  # first iteration reduces to d = a
     for a in diag:
         d = a - b2 / d
-        if d == 0.0:
-            raise ZeroDivisionError
         if d < 0.0:
             count += 1
+        elif d == 0.0:
+            d = math.ulp(0.0)
     return count
 
 
@@ -370,7 +372,8 @@ def fd_inertia_count(
     point with a mirrored ghost-node row (first-order accurate there, which
     is fine because only the count is used).  The count is the number of
     negative pivots of the tridiagonal factorization, by Sylvester's law of
-    inertia.
+    inertia; an exactly zero pivot counts as nonnegative, so a zero
+    eigenvalue is not counted.
     """
     _check_bc(bc)
     if n_mesh < 10:
@@ -385,15 +388,7 @@ def fd_inertia_count(
     diag = 2.0 * inv2 + qs[1:-1]
     if bc == "N":
         diag = np.concatenate([[inv2 + 0.5 * qs[0]], diag, [inv2 + 0.5 * qs[-1]]])
-    b2 = inv2 * inv2
-    try:
-        return _negative_pivots(diag.tolist(), b2)
-    except ZeroDivisionError:
-        shift = 1e-12 * max(1.0, float(np.max(np.abs(qs))))
-        try:
-            return _negative_pivots((diag + shift).tolist(), b2)
-        except ZeroDivisionError:
-            raise NumericalError("exactly-zero pivot persisted after shift retry") from None
+    return _negative_pivots(diag.tolist(), float(inv2 * inv2))
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +416,14 @@ def _subdivide(edges, values, seg_edge_idx, pert: Perturbation, s: int):
     start = edges[:-1][rep]
     blen = base_len[rep]
     lefts = start + blen * (local / denom)
-    rights = start + blen * ((local + 1.0) / denom)
     lengths = blen / denom
     vrep = values[rep]
-    q_deep = vrep - np.asarray(pert(lefts), dtype=float)      # W(left) >= W: more states
-    q_shallow = vrep - np.asarray(pert(rights), dtype=float)  # W(right) <= W: fewer states
+    w_left = np.asarray(pert(lefts), dtype=float)
+    w_right = np.empty_like(w_left)
+    w_right[:-1] = w_left[1:]  # a right end is the next sub-piece's left end, except at a base piece's end
+    w_right[csub[1:] - 1] = np.asarray(pert(edges[:-1] + base_len), dtype=float)
+    q_deep = vrep - w_left     # W(left) >= W: more states
+    q_shallow = vrep - w_right  # W(right) <= W: fewer states
     seg_sub_idx = csub[seg_edge_idx]
     return lengths, q_shallow, q_deep, seg_sub_idx
 
@@ -464,7 +462,7 @@ def _whole_domain(real, pert: Perturbation, bc: str, refine: int):
         n_lo, n_hi = (_domain_count(*(a[e] for a in sweep), bc, bc) for e in (0, 1))
         if n_hi - n_lo <= 1:
             break
-    return CountCertificate(n_lo=n_lo, n_hi=n_hi, method="prufer-exact", converged=n_hi - n_lo <= 1), sweep
+    return CountCertificate(n_lo=n_lo, n_hi=n_hi, converged=n_hi - n_lo <= 1), sweep
 
 
 def count_with_bracketed_w(
@@ -520,7 +518,7 @@ def bracket_certificate(
         # refinement narrows only the envelope slack; the D/N gap itself remains
         if d[1].sum() - d_per.sum() <= 1:
             break
-    return CountCertificate(n_lo=int(d_per.sum()), n_hi=int(n_per.sum()), method="bracket-DN",
+    return CountCertificate(n_lo=int(d_per.sum()), n_hi=int(n_per.sum()),
                             per_interval=IntervalCounts(d_per, n_per), converged=True)
 
 

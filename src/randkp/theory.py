@@ -41,15 +41,13 @@ class BorderlineLaw:
     dist: GapDistribution
     constant: float
     exponent: float
-    form: str  # "log-power" or "power-law"
+    kind: str  # the Perturbation kind: "logpower" or "powerlaw"
 
     def perturbation(self, multiplier: float = 1.0) -> Perturbation:
         """The borderline envelope scaled by ``multiplier``."""
         if multiplier <= 0:
             raise ValueError("multiplier must be positive")
-        if self.form == "log-power":
-            return Perturbation.log_power(multiplier * self.constant, self.exponent)
-        return Perturbation.power_law(multiplier * self.constant, self.exponent)
+        return Perturbation(self.kind, multiplier * self.constant, self.exponent)
 
 
 def borderline(dist: GapDistribution) -> BorderlineLaw:
@@ -62,15 +60,15 @@ def borderline(dist: GapDistribution) -> BorderlineLaw:
     an exponential with rate ln(1/q).
     """
     if dist.kind == "exponential":
-        return BorderlineLaw(dist, dist.eta**2 * _PI**2, 2.0, "log-power")
+        return BorderlineLaw(dist, dist.eta**2 * _PI**2, 2.0, "logpower")
     if dist.kind == "stretched":
         c = (dist.eta / dist.alpha) ** (2.0 / dist.alpha) * _PI**2
-        return BorderlineLaw(dist, c, 2.0 / dist.alpha, "log-power")
+        return BorderlineLaw(dist, c, 2.0 / dist.alpha, "logpower")
     if dist.kind == "pareto":
-        return BorderlineLaw(dist, 1.0, 2.0 / dist.alpha, "power-law")
+        return BorderlineLaw(dist, 1.0, 2.0 / dist.alpha, "powerlaw")
     if dist.kind == "geometric":
         eta = math.log(1.0 / dist.q)
-        return BorderlineLaw(dist, eta**2 * _PI**2, 2.0, "log-power")
+        return BorderlineLaw(dist, eta**2 * _PI**2, 2.0, "logpower")
     raise ValueError(f"no borderline law for distribution kind {dist.kind!r}")
 
 
@@ -179,8 +177,8 @@ def expectation_bounds(dist: GapDistribution, w: float) -> Tuple[float, float]:
     the same plus F(a), in closed form for all four tails (the stretched
     one through the regularized upper incomplete gamma function).
     """
-    if not w > 0:
-        raise ValueError("weight must be positive")
+    if not 0 < w < math.inf:
+        raise ValueError(f"weight must be positive and finite, got w={w!r}")
     a = _PI / math.sqrt(w)
     lower = math.sqrt(w) / _PI * _integrated_tail(dist, a)
     upper = lower + float(dist.tail(a))

@@ -156,8 +156,17 @@ def test_count_rows_sandwich(realization_file, capsys):
     (["generate", "dist=exp", "eta=1", "l=inf", "h=1", "X=10", "seed=1"], "l=inf"),
     (["generate", "dist=exp", "eta=1", "l=0.25", "h=inf", "X=10", "seed=1"], "h=inf"),
     (["generate", "dist=bernoulli", "p=0.5", "h=nan", "X=10", "seed=1"], "h=nan"),
+    (["expect", "dist=exp", "eta=inf", "ws=1"], "eta=inf"),
+    (["expect", "dist=stretched", "eta=1", "alpha=inf", "ws=1"], "alpha=inf"),
+    (["expect", "dist=pareto", "xm=inf", "alpha=2", "ws=1"], "x_m=inf"),
+    (["expect", "dist=geom", "q=nan", "ws=1"], "q=nan"),
+    (["expect", "dist=exp", "eta=1", "ws=inf"], "w=inf"),
+    (["well", "h=inf", "l=1", "Ls=25"], "h=inf"),
+    (["well", "h=1", "l=1", "Ls=inf"], "L=inf"),
+    (["borderline", "dist=exp", "eta=1", "l=inf", "h=1", "Xs=10", "trials=1", "workers=1"], "l=inf"),
 ], ids=["constant-w-nan", "logpower-C-inf", "powerlaw-beta-nan", "generate-l-inf", "generate-h-inf",
-        "bernoulli-h-nan"])
+        "bernoulli-h-nan", "exp-eta-inf", "stretched-alpha-inf", "pareto-xm-inf", "geom-q-nan",
+        "expect-w-inf", "well-h-inf", "well-L-inf", "borderline-l-inf"])
 def test_non_finite_model_parameter_is_a_usage_error(realization_file, tmp_path, capsys, args, named):
     out = tmp_path / "o.csv"
     extra = [f"in={realization_file}"] if args[0] == "count" else []
@@ -167,6 +176,14 @@ def test_non_finite_model_parameter_is_a_usage_error(realization_file, tmp_path,
     assert code == 2 and named in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert list(tmp_path.iterdir()) == [realization_file]  # no output file, not even a borderline prefix
+
+
+def test_count_too_large_to_count_exactly_is_a_numerical_failure(tmp_path, capsys):
+    real, out = tmp_path / "real.txt", tmp_path / "o.csv"
+    assert main(["generate", "dist=exp", "eta=1", "l=0.25", "h=25", "X=2000", "seed=42", f"out={real}"]) == 0
+    code, _, err = run(capsys, "count", f"in={real}", "W=logpower", "C=1e300", "s=2", "refine=4", f"out={out}")
+    assert code == 4 and "numerical failure" in err
     assert not out.exists()
 
 
@@ -221,6 +238,12 @@ def test_well_neumann_flag(capsys):
     assert mu_n < mu_d
 
 
+def test_well_semi_infinite_flank(capsys):
+    code, out, _ = run(capsys, "well", "h=1", "l=inf", "Ls=25")
+    assert code == 0
+    assert math.isfinite(float(data_rows(out)[1].split(",")[1]))
+
+
 def test_well_hard_wall_root(capsys):
     _, out, _ = run(capsys, "well", "h=1e8", "l=1", "Ls=1", "bc=D")
     mu = float(data_rows(out)[1].split(",")[1])
@@ -253,8 +276,16 @@ def test_borderline_separation_and_files(tmp_path, capsys):
     assert code == 0
     fractions = {}
     for mult in ("0.25", "4"):
-        text = (tmp_path / f"exp_m{mult}_summary.csv").read_text()
-        fractions[mult] = float(data_rows(text)[-1].split(",")[-1])
+        summary, trials = ([row.split(",") for row in data_rows((tmp_path / f"exp_m{mult}_{kind}.csv").read_text())[1:]]
+                           for kind in ("summary", "trials"))
+        assert len(trials) == 4 * 2 and all(len(row) == 6 for row in trials)  # trials x checkpoints
+        assert len(summary) == 2 and all(len(row) == 5 for row in summary)  # one per checkpoint
+        n_lo = {}
+        for row in trials:
+            n_lo.setdefault(row[0], []).append(int(row[2]))
+        growing = sum(counts[-1] > counts[-2] for counts in n_lo.values()) / len(n_lo)
+        assert all(float(row[-1]) == growing for row in summary)
+        fractions[mult] = growing
     assert fractions["0.25"] < fractions["4"]
 
 

@@ -16,7 +16,6 @@ from randkp import (
     run_trial,
 )
 from randkp import montecarlo
-from randkp.montecarlo import summary_csv_rows, trial_csv_rows
 
 PI = math.pi
 EXP1 = GapDistribution.exponential(1.0)
@@ -252,18 +251,3 @@ def test_estimator_validation():
         estimate_expected_count(EXP1, 1.0, 999, 0)
     with pytest.raises(ValueError):
         estimate_expected_count(EXP1, 0.0, 1000, 0)
-
-
-# ---------------------------------------------------------------------------
-# CSV row shapes
-
-
-def test_csv_rows_shapes():
-    rep = run_experiment(small_cfg(trials=2))
-    trows = list(trial_csv_rows(rep))
-    assert len(trows) == 2 * 3
-    assert all(len(r) == 6 for r in trows)
-    srows = list(summary_csv_rows(rep))
-    assert len(srows) == 3
-    assert all(len(r) == 5 for r in srows)
-    assert srows[0][4] == rep.growing_fraction

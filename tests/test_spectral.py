@@ -58,7 +58,6 @@ def test_constant_well_single_level():
     q = PiecewisePotential(np.array([0.0, PI]), np.array([-1.5]))
     cert = count_negative_exact(q)
     assert cert.n_lo == cert.n_hi == 1
-    assert cert.method == "prufer-exact"
 
 
 def test_constant_well_two_and_a_half_halfwaves():
@@ -163,6 +162,16 @@ def test_fd_neumann_agrees_with_exact():
         assert fd_inertia_count(q.evaluate, X, 100_000, "N") == exact
 
 
+def test_fd_exact_zero_pivot_counts_as_nonnegative():
+    # mesh step exactly 1 and q(1) = -2 make the first pivot 2 - 2 = 0 exactly
+    q = lambda x: np.where(x == 1.0, -2.0, 0.0)
+    dense = np.diag(np.full(10, 2.0)) - np.eye(10, k=1) - np.eye(10, k=-1)
+    dense[0, 0] = 0.0
+    expected = int(np.sum(np.linalg.eigvalsh(dense) < 0))
+    assert expected == 1
+    assert fd_inertia_count(q, 11.0, 10) == expected
+
+
 def test_fd_rejects_coarse_mesh():
     with pytest.raises(ValueError):
         fd_inertia_count(lambda x: np.zeros_like(x), 1.0, 5)
@@ -232,7 +241,6 @@ def test_bracket_certificate_intervals():
     real = small_realization(seed=2, X=150.0)
     pert = Perturbation.log_power(2 * PI**2, 2.0)
     cert = bracket_certificate(real, pert)
-    assert cert.method == "bracket-DN"
     k_inside = real.bumps_within(150.0 - 1e-12)
     assert len(cert.per_interval) == k_inside + 1  # leading + one per center
     assert cert.n_lo == sum(d for _, d, _ in cert.per_interval)

@@ -26,7 +26,7 @@ def test_exponential_constant():
     law = borderline(GapDistribution.exponential(2.0))
     assert law.constant == pytest.approx(4 * PI**2)
     assert law.exponent == 2.0
-    assert law.form == "log-power"
+    assert law.kind == "logpower"
 
 
 def test_scale_consistency_doubling_eta_quadruples():
@@ -54,7 +54,7 @@ def test_geometric_constant():
 
 def test_pareto_power_law_exponent():
     law = borderline(GapDistribution.pareto(1.0, 3.0))
-    assert law.form == "power-law"
+    assert law.kind == "powerlaw"
     assert law.exponent == pytest.approx(2.0 / 3.0)
 
 
