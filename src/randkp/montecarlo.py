@@ -100,7 +100,6 @@ class TrialResult:
 class GrowthReport:
     """Aggregated experiment outcome; combination is order-independent."""
 
-    config: ExperimentConfig
     mean_counts: Tuple[float, ...]
     median_counts: Tuple[float, ...]
     max_counts: Tuple[int, ...]
@@ -167,7 +166,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
     else:
         growing_fraction = 0.0
     return GrowthReport(
-        config=cfg,
         mean_counts=tuple(float(v) for v in means),
         median_counts=tuple(float(v) for v in medians),
         max_counts=tuple(int(v) for v in maxima),

@@ -8,9 +8,10 @@ are rescaled by exp(-sqrt(q)*len), so heights like 1e8 never overflow.
 
 The domain is cut into segments (renewal intervals between bump centers,
 or runs of equal values), and one numpy sweep carries both transfer
-columns of every segment at once.  Each column keeps a closed-form log
-scale g (kappa*len per barrier piece plus log r per normalization), so the
-true transfer M is known.  Then N[0, X] = sum_k N_D(segment k) + neg(S):
+columns of every segment at once.  Each segment keeps kd, the kappa*len
+sum of its barrier pieces, and each column its own log scale g (log r per
+normalization), so the true transfer M is known and column ratios never
+cancel two huge kd.  Then N[0, X] = sum_k N_D(segment k) + neg(S):
 S is tridiagonal on the cuts, assembled from each segment's energy-0
 Dirichlet-to-Neumann map (1/m12)*[[m11, -1], [-1, m22]] (Dirichlet
 decoupling plus Haynsworth inertia additivity).  At a stiff barrier the
@@ -203,12 +204,13 @@ def _sweep(lengths, envelopes, seg_idx):
     """Both transfer columns of every segment, for every envelope, in one pass.
 
     Segment k is pieces ``seg_idx[k]:seg_idx[k+1]``; column 0 starts at
-    (u, u') = (1, 0), column 1 at (0, 1).  Returns ``(zeros, u, du, g)``, each
-    of shape (envelopes, 2, segments): the zeros a column gains in the
-    segment, its normalized end value and its log scale, so the true column
-    is (u, du)*exp(g).  With segments in descending piece count, piece slot j
-    updates the prefix of segments with more than j pieces; only that slot's
-    coefficients are held.
+    (u, u') = (1, 0), column 1 at (0, 1).  Returns ``(zeros, u, du, g, kd)``;
+    the first four, of shape (envelopes, 2, segments), are the zeros a column
+    gains in the segment, its normalized end value and its log scale, and kd
+    (envelopes, segments) is the segment's kappa*len sum, so the true column
+    is (u, du)*exp(kd + g).  With segments in descending piece count, piece
+    slot j updates the prefix of segments with more than j pieces; only that
+    slot's coefficients are held.
     """
     sizes = np.diff(seg_idx)
     order = np.argsort(-sizes, kind="stable")
@@ -218,7 +220,7 @@ def _sweep(lengths, envelopes, seg_idx):
     u = np.zeros(shape)
     u[:, 0] = 1.0
     du = 1.0 - u
-    zeros, g = np.zeros(shape), np.zeros(shape)
+    zeros, g, kd = np.zeros(shape), np.zeros(shape), np.zeros(shape[::2])
     for j, m in enumerate(active.tolist()):
         p = starts[:m] + j
         coefficients = _piece_coefficients(lengths[p], np.stack([q[p] for q in envelopes]))
@@ -230,24 +232,24 @@ def _sweep(lengths, envelopes, seg_idx):
         crossed = np.floor((phi + t) / _PI) - np.floor(phi / _PI)
         flipped = (u0 != 0.0) & ((un == 0.0) | ((u0 > 0.0) != (un > 0.0)))
         zeros[..., :m] += np.where(osc, crossed, flipped)
-        scale = np.where(osc, 0.0, t)
+        kd[:, :m] += np.where(osc, 0.0, t)[:, 0]
         # pure decaying branch annihilated by the rescaled transfer: it shrinks by exp(-kappa*d)
         dead = ~osc & (un == 0.0) & (dn == 0.0)
         if dead.any():
             un, dn = np.where(dead, u0, un), np.where(dead, -w * u0, dn)
-            scale = np.where(dead, -t, scale)
+            g[..., :m] -= np.where(dead, 2.0 * t, 0.0)
         r = np.sqrt(un * un + dn * dn)
         if not r.all():
             raise NumericalError("solution vector vanished during propagation")
         np.divide(un, r, out=u0)
         np.divide(dn, r, out=du0)
-        g[..., :m] += scale + np.log(r)
-        del coefficients, osc, w, t, a11, a12, a21, un, dn, phi, crossed, scale, r  # freed before the next slot
+        g[..., :m] += np.log(r)
+        del coefficients, osc, w, t, a11, a12, a21, un, dn, phi, crossed, r  # freed before the next slot
     if not zeros.sum() < 2.0**53:  # past 2**53 a float64 count is no longer exact
         raise NumericalError(f"{zeros.sum():.3g} zeros: too many to count exactly")
     back = np.empty_like(order)
     back[order] = np.arange(len(order))
-    return tuple(a[..., back] for a in (zeros, u, du, g))
+    return tuple(a[..., back] for a in (zeros, u, du, g, kd))
 
 
 def _end_rule(zeros, u, du, bc: str):
@@ -265,7 +267,7 @@ def _segment_counts(sweep):
     ``d`` counts each segment with Dirichlet ends (column 1), ``n`` with
     Neumann ends (column 0).
     """
-    zeros, u, du, _ = sweep
+    zeros, u, du = sweep[:3]
     d = _end_rule(zeros[:, 1], u[:, 1], du[:, 1], "D")
     n = _end_rule(zeros[:, 0], u[:, 0], du[:, 0], "N")
     return d.astype(np.int64), n.astype(np.int64)
@@ -291,16 +293,16 @@ def _interface_negatives(diag, b2) -> int:
     return count
 
 
-def _domain_count(zeros, u, du, g, bc_left: str, bc_right: str) -> int:
+def _domain_count(zeros, u, du, g, kd, bc_left: str, bc_right: str) -> int:
     """Count on one envelope's segments (``_sweep`` arrays of shape (2, segments)).
 
     The first segment takes the left end condition (column 0 when it is
     Neumann), the last one the right end rule, and every cut is Dirichlet on
     both sides: N = sum_k N(segment k) + neg(S), S on the interior cuts.  A
     segment's DtN entries are m11/m12 = (u0/u1)*exp(g0 - g1), m22/m12 =
-    du1/u1 and -1/m12 = -exp(-g1)/u1; an end segment with a Neumann outer end
-    gives its one cut m21/m11 = du0/u0 (first) or m21/m22 = (du0/du1)*exp(g0
-    - g1) (last), the Schur complement of that end node.
+    du1/u1 and -1/m12 = -exp(-kd - g1)/u1; an end segment with a Neumann
+    outer end gives its one cut m21/m11 = du0/u0 (first) or m21/m22 =
+    (du0/du1)*exp(g0 - g1) (last), the Schur complement of that end node.
     """
     first = 0 if bc_left == "N" else 1  # the column that meets the left end condition
     z, uu, dd = zeros[1].copy(), u[1].copy(), du[1].copy()
@@ -315,7 +317,7 @@ def _domain_count(zeros, u, du, g, bc_left: str, bc_right: str) -> int:
     if not (uu[:-1].all() and den.all()):
         raise NumericalError("a segment has an eigenvalue at exactly 0: it has no Dirichlet-to-Neumann map")
     diag = dd[:-1] / uu[:-1] + num / den * np.exp(g[0, 1:] - g[1, 1:])
-    b2 = np.square(np.exp(-g[1, 1:-1]) / u[1, 1:-1])  # couplings of the interior segments
+    b2 = np.square(np.exp(-kd[1:-1] - g[1, 1:-1]) / u[1, 1:-1])  # couplings of the interior segments
     return count + _interface_negatives(diag.tolist(), b2.tolist())
 
 
@@ -562,42 +564,33 @@ def _edge_matching(k: float, h: float, l: float, bc: str) -> float:
 def well_ground_state(geom: WellGeometry) -> float:
     """Lowest eigenvalue mu0 = k0**2 of the symmetric flanked well.
 
-    k0 is the unique root of k*tan(k*L) = rhs(k) in (0, pi/(2L)); bisection
-    runs to machine precision, which keeps the matching residual at the
-    root far below 1e-9 even in the hard-wall regime.
+    On (0, b), b = min(pi/(2L), k_pole) with k_pole the first pole of rhs
+    above sqrt(h) (sqrt(h) itself for l = inf), k*tan(k*L) rises from 0,
+    rhs(k) falls continuously from rhs(0) > 0, and the first ends above the
+    second at b, so k*tan(k*L) = rhs(k) has exactly one root k0 there and
+    neither end needs evaluating.  Bisection runs until the midpoint meets
+    an end, which keeps the matching residual at the root far below 1e-9
+    even in the hard-wall regime.
     """
     L, l, h, bc = geom.L, geom.l, geom.h, geom.bc
-    k_hi = _PI / (2.0 * L)
-    a = 1e-9 * k_hi
-    b = k_hi * (1.0 - 1e-12)
-    f = lambda k: k * math.tan(k * L) - _edge_matching(k, h, l, bc)
-    fa, fb = f(a), f(b)
-    if not (fa < 0.0 < fb):
-        raise NumericalError("no sign change in the ground-state bracket (invalid geometry?)")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if f(m) < 0.0:
-            a = m
-        else:
-            b = m
-    k0 = 0.5 * (a + b)
-    return k0 * k0
+    k_pole = math.hypot(math.sqrt(h), _PI / (l if bc == "D" else 2.0 * l))
+    a, b = 0.0, min(_PI / (2.0 * L), k_pole)
+    while a < (m := 0.5 * (a + b)) < b:
+        a, b = (m, b) if m * math.tan(m * L) < _edge_matching(m, h, l, bc) else (a, m)
+    return m * m
 
 
 def edge_penetration_depth(h: float, l: float, bc: str = "D") -> float:
     """Length by which the ground state leaks into a flanking bump.
 
     Equals 1/(sqrt(h)*coth(sqrt(h)*l)) for Dirichlet outer walls and
-    1/(sqrt(h)*tanh(sqrt(h)*l)) for Neumann; both vanish as h -> infinity.
+    1/(sqrt(h)*tanh(sqrt(h)*l)) for Neumann, the inverse of rhs(0); both
+    vanish as h -> infinity.
     """
     _check_bc(bc)
     if not (h > 0 and l > 0):
         raise ValueError("need h > 0 and l > 0")
-    sh = math.sqrt(h)
-    th = math.tanh(sh * l)
-    return th / sh if bc == "D" else 1.0 / (sh * th)
+    return 1.0 / _edge_matching(0.0, h, l, bc)
 
 
 def well_ground_asymptotic(geom: WellGeometry) -> float:

@@ -45,8 +45,8 @@ class BorderlineLaw:
 
     def perturbation(self, multiplier: float = 1.0) -> Perturbation:
         """The borderline envelope scaled by ``multiplier``."""
-        if multiplier <= 0:
-            raise ValueError("multiplier must be positive")
+        if not 0 < multiplier * self.constant < math.inf:
+            raise ValueError(f"need 0 < multiplier * {self.constant:g} < inf, got multiplier={multiplier!r}")
         return Perturbation(self.kind, multiplier * self.constant, self.exponent)
 
 

@@ -91,7 +91,10 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, args):
 @pytest.mark.parametrize("args,named", [
     (["workers=-3", "refine=4"], "workers"),
     (["workers=1", "refine=0"], "refinement budget"),
-], ids=["negative-workers", "zero-refine"])
+    (["workers=1", "multipliers=inf"], "multiplier=inf"),
+    (["workers=1", "multipliers=nan"], "multiplier=nan"),
+    (["workers=1", "multipliers=1e308"], "multiplier=1e+308"),
+], ids=["negative-workers", "zero-refine", "inf-multiplier", "nan-multiplier", "overflowing-multiplier"])
 def test_bad_borderline_run_setting_is_a_usage_error(tmp_path, capsys, args, named):
     code, _, err = run(capsys, "borderline", "dist=exp", "eta=1", "l=0.25", "h=1", "Xs=10,20", "trials=1",
                        *args, f"out={tmp_path / 'o'}")
@@ -248,6 +251,19 @@ def test_well_hard_wall_root(capsys):
     _, out, _ = run(capsys, "well", "h=1e8", "l=1", "Ls=1", "bc=D")
     mu = float(data_rows(out)[1].split(",")[1])
     assert mu == pytest.approx((PI / 2) ** 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("args,mu0", [
+    (["h=0.01", "l=100"], 0.00999902480246),
+    (["h=0.01", "l=100", "bc=N"], 0.00985825331302),
+    (["h=1e30", "l=1"], (PI / 2) ** 2),
+    (["h=1", "l=inf"], 0.54624683414),
+], ids=["low-wide-D", "low-wide-N", "towering-flank", "semi-infinite-flank"])
+def test_well_root_in_any_geometry(capsys, args, mu0):
+    # the ground state for any h > 0 and l > 0: no failure exit, and not a pole of the flank side
+    code, out, err = run(capsys, "well", *args, "Ls=1")
+    assert code == 0 and err == ""
+    assert float(data_rows(out)[1].split(",")[1]) == pytest.approx(mu0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randkp import (
@@ -116,6 +116,15 @@ def test_exact_counter_survives_huge_barriers():
     n = count_negative_exact(q).n_lo
     # each well is near hard-wall: floor(2*4/pi) = 2 levels apiece
     assert n == 2 * math.floor(2 * 4.0 / PI)
+
+
+@pytest.mark.parametrize("h", [1e36, 1e40, 1e60, 1e100, 1e300])
+@pytest.mark.parametrize("bc_left,bc_right", [("D", "D"), ("D", "N"), ("N", "D"), ("N", "N")])
+def test_exact_counter_at_astronomical_barriers(h, bc_left, bc_right):
+    # past kappa*d ~ 1e18 a log scale holding kappa*d would lose the columns' log r difference
+    q = PiecewisePotential(np.array([0.0, 1.0, 2.0]), np.array([-1.0, h]))
+    expected = propagate_count(q.lengths, q.values, bc_left, bc_right)
+    assert count_negative_exact(q, bc_left, bc_right).n_lo == expected
 
 
 def test_input_validation():
@@ -268,9 +277,12 @@ def test_entry_points_agree_on_the_shared_refinement(refine):
     reach_share=st.floats(0.05, 1.0),
     refine=st.sampled_from([4, 16]),
 )
+# a left-to-right sum of these gaps is one ulp above the reach build_realization computes
+@example(gaps=[0.0, 1.0533251640433692, 2.9620529565722427, 5.342165066620241, 0.0, 0.0, 0.0, 0.0],
+         l=0.25, reach_share=1.0, refine=4)
 def test_certificates_chain_and_order_in_w(gaps, l, reach_share, refine):
     # X is a share of the bumps' reach, so it often clips a bump or lands on a center
-    X = reach_share * (sum(gaps) + 2.0 * l * len(gaps))
+    X = reach_share * (float(np.sum(gaps)) + 2.0 * l * len(gaps))
     real = build_realization(gaps, l=l, h=100.0, X=X)
     certs = {}
     for mult in (0.5, 4.0):
@@ -297,7 +309,7 @@ def test_certificates_chain_and_order_in_w(gaps, l, reach_share, refine):
 )
 def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
     # the inputs of test_certificates_chain_and_order_in_w, plus refine 64; every level is checked
-    X = reach_share * (sum(gaps) + 2.0 * l * len(gaps))
+    X = reach_share * (float(np.sum(gaps)) + 2.0 * l * len(gaps))
     real = build_realization(gaps, l=l, h=100.0, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
@@ -323,7 +335,7 @@ def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
 def test_whole_domain_count_equals_scalar_counter(gaps, l, h, reach_share, refine):
     # segment Dirichlet counts plus the interface Schur complement against one
     # walk over the whole domain, from weak (h <= 2) to stiff (h = 1e8) barriers
-    X = reach_share * (sum(gaps) + 2.0 * l * len(gaps))
+    X = reach_share * (float(np.sum(gaps)) + 2.0 * l * len(gaps))
     real = build_realization(gaps, l=l, h=h, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
@@ -503,3 +515,39 @@ def test_root_residual(geom):
     k = math.sqrt(well_ground_state(geom))
     rhs = _edge_matching(k, geom.h, geom.l, geom.bc)
     assert abs(k * math.tan(k * geom.L) - rhs) <= 1e-9 * (1.0 + abs(rhs))
+
+
+def _count_ground_state(geom):
+    """Reference mu0: the first mu at which the half well [0, L + l] with a Neumann center has a level."""
+    l = geom.l if math.isfinite(geom.l) else 400.0 / math.sqrt(geom.h)
+    def has_level(mu):
+        q = PiecewisePotential(np.array([0.0, geom.L, geom.L + l]), np.array([-mu, geom.h - mu]))
+        return count_negative_exact(q, "N", geom.bc).n_lo >= 1
+    a, b = 0.0, 2.0 * (PI / (2.0 * geom.L)) ** 2
+    assert has_level(b)
+    while a < (m := 0.5 * (a + b)) < b:
+        a, b = (a, m) if has_level(m) else (m, b)
+    return b
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [
+        WellGeometry(L=1.0, l=100.0, h=0.01, bc="D"),
+        WellGeometry(L=1.0, l=100.0, h=0.01, bc="N"),
+        WellGeometry(L=1.0, l=1.0, h=1e30, bc="D"),
+        WellGeometry(L=1.0, l=math.inf, h=1.0, bc="D"),
+        WellGeometry(L=1.0, l=math.inf, h=1.0, bc="N"),
+        WellGeometry(L=0.16, l=11.8, h=0.002, bc="D"),
+        WellGeometry(L=1.3, l=7.7, h=1.6e-4, bc="N"),
+        WellGeometry(L=25.0, l=1.0, h=1.0, bc="N"),
+        WellGeometry(L=1.0, l=1.0, h=1e300, bc="N"),
+    ],
+    ids=["low-wide-D", "low-wide-N", "h1e30", "semi-infinite-D", "semi-infinite-N",
+         "low-L0.16", "low-L1.3-N", "soft-N", "h1e300"],
+)
+def test_ground_state_matches_count_reference(geom):
+    # mu0 is the lowest level of the even half problem; low wide flanks (h < (pi/2L)^2, l > 2L)
+    # put a pole of the matching right side below pi/(2L), inside the bracket a root must avoid
+    ref = _count_ground_state(geom)
+    assert well_ground_state(geom) == pytest.approx(ref, rel=1e-9)
