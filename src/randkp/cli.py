@@ -276,19 +276,19 @@ def cmd_borderline(tokens: Sequence[str]) -> int:
     if resolved["workers"] < 0:
         raise UsageError("workers must be >= 0 (0 = available cores)")
     workers = resolved["workers"] or (os.cpu_count() or 1)
-    for mult in resolved["multipliers"]:
-        cfg = ExperimentConfig(
-            dist=dist,
-            pert=law.perturbation(mult),
-            l=resolved["l"],
-            h=resolved["h"],
-            checkpoints=tuple(resolved["Xs"]),
-            trials=resolved["trials"],
-            master_seed=resolved["seed"],
-            bc_mode=resolved["mode"],
-            refine=resolved["refine"],
-            lattice_p=lattice_p,
-        )
+    configs = [ExperimentConfig(
+        dist=dist,
+        pert=law.perturbation(mult),
+        l=resolved["l"],
+        h=resolved["h"],
+        checkpoints=tuple(resolved["Xs"]),
+        trials=resolved["trials"],
+        master_seed=resolved["seed"],
+        bc_mode=resolved["mode"],
+        refine=resolved["refine"],
+        lattice_p=lattice_p,
+    ) for mult in resolved["multipliers"]]  # every multiplier is checked before any file is written
+    for mult, cfg in zip(resolved["multipliers"], configs):
         report = run_experiment(cfg, workers=workers)
         echo = dict(resolved)
         echo["multiplier"] = mult

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
@@ -58,7 +57,7 @@ _PI = math.pi
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine met an exact zero it cannot resolve, or a count too large to hold exactly."""
+    """A numerical routine met an exact zero it cannot resolve, a count too large to hold exactly, or a float overflow."""
 
 
 def _check_bc(bc: str) -> str:
@@ -102,42 +101,26 @@ class PiecewisePotential:
         return self.values[idx]
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalCounts(Sequence):
-    """Immutable sequence of ``(k, d, n)``, the D and N counts of renewal interval k, backed
-    by two arrays of the smallest unsigned dtype that holds the largest count (at X = 1e5
-    about 133 kB, against about 7 MB as tuples)."""
+@dataclass(frozen=True)
+class IntervalCounts:
+    """The D and N counts of each renewal interval, iterated as ``(k, d, n)``, stored as bytes
+    of the smallest unsigned dtype that holds the largest count (at X = 1e5 about 133 kB,
+    against about 7 MB as tuples)."""
 
-    d: np.ndarray
-    n: np.ndarray
+    d: bytes
+    n: bytes
+    dtype: str
 
-    def __post_init__(self):
-        if min(np.min(self.d, initial=0), np.min(self.n, initial=0)) < 0:
+    @classmethod
+    def from_arrays(cls, d: np.ndarray, n: np.ndarray) -> IntervalCounts:
+        if min(np.min(d, initial=0), np.min(n, initial=0)) < 0:  # the unsigned cast would wrap it
             raise ValueError("interval counts must be nonnegative")
-        dtype = np.min_scalar_type(max(np.max(self.d, initial=0), np.max(self.n, initial=0)))
-        for name in ("d", "n"):
-            arr = np.asarray(getattr(self, name)).astype(dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        dtype = np.min_scalar_type(max(np.max(d, initial=0), np.max(n, initial=0)))
+        return cls(d.astype(dtype).tobytes(), n.astype(dtype).tobytes(), dtype.str)
 
-    def __len__(self) -> int:
-        return len(self.d)
-
-    def __getitem__(self, k: int) -> Tuple[int, int, int]:
-        k = range(len(self.d))[operator.index(k)]  # no slices; negative k wraps, out of range raises
-        return k, int(self.d[k]), int(self.n[k])
-
-    def __iter__(self):
-        return zip(range(len(self.d)), self.d.tolist(), self.n.tolist())
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalCounts) and np.array_equal(self.d, other.d) and np.array_equal(self.n, other.n)
-
-    def __hash__(self):
-        return hash((self.d.tobytes(), self.n.tobytes()))  # equal counts have equal dtypes
-
-    def __reduce__(self):  # rebuild through __post_init__, so unpickled arrays stay read-only
-        return IntervalCounts, (self.d, self.n)
+    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
+        d, n = (np.frombuffer(b, self.dtype).tolist() for b in (self.d, self.n))
+        return zip(range(len(d)), d, n)
 
 
 @dataclass(frozen=True)
@@ -521,7 +504,7 @@ def bracket_certificate(
         if d[1].sum() - d_per.sum() <= 1:
             break
     return CountCertificate(n_lo=int(d_per.sum()), n_hi=int(n_per.sum()),
-                            per_interval=IntervalCounts(d_per, n_per), converged=True)
+                            per_interval=IntervalCounts.from_arrays(d_per, n_per), converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +553,15 @@ def well_ground_state(geom: WellGeometry) -> float:
     second at b, so k*tan(k*L) = rhs(k) has exactly one root k0 there and
     neither end needs evaluating.  Bisection runs until the midpoint meets
     an end, which keeps the matching residual at the root far below 1e-9
-    even in the hard-wall regime.
+    even in the hard-wall regime.  A b*b past the float range (L below
+    about 1e-154 and a flank as thin or as high) is a NumericalError, so
+    every k*k the bisection forms is finite.
     """
     L, l, h, bc = geom.L, geom.l, geom.h, geom.bc
     k_pole = math.hypot(math.sqrt(h), _PI / (l if bc == "D" else 2.0 * l))
     a, b = 0.0, min(_PI / (2.0 * L), k_pole)
+    if b * b == math.inf:
+        raise NumericalError(f"ground state past the float range at L={L!r}, l={l!r}")
     while a < (m := 0.5 * (a + b)) < b:
         a, b = (m, b) if m * math.tan(m * L) < _edge_matching(m, h, l, bc) else (a, m)
     return m * m
@@ -601,4 +588,6 @@ def well_ground_asymptotic(geom: WellGeometry) -> float:
     """
     b0 = edge_penetration_depth(geom.h, geom.l, geom.bc)
     root = (_PI / (2.0 * geom.L)) * (1.0 - b0 / geom.L)
-    return root * root
+    if not math.isfinite(mu := root * root):
+        raise NumericalError(f"asymptotic ground state past the float range at L={geom.L!r}, l={geom.l!r}")
+    return mu

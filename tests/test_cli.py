@@ -94,7 +94,9 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, args):
     (["workers=1", "multipliers=inf"], "multiplier=inf"),
     (["workers=1", "multipliers=nan"], "multiplier=nan"),
     (["workers=1", "multipliers=1e308"], "multiplier=1e+308"),
-], ids=["negative-workers", "zero-refine", "inf-multiplier", "nan-multiplier", "overflowing-multiplier"])
+    (["workers=1", "multipliers=1,inf"], "multiplier=inf"),
+], ids=["negative-workers", "zero-refine", "inf-multiplier", "nan-multiplier", "overflowing-multiplier",
+        "inf-after-a-valid-multiplier"])
 def test_bad_borderline_run_setting_is_a_usage_error(tmp_path, capsys, args, named):
     code, _, err = run(capsys, "borderline", "dist=exp", "eta=1", "l=0.25", "h=1", "Xs=10,20", "trials=1",
                        *args, f"out={tmp_path / 'o'}")
@@ -264,6 +266,17 @@ def test_well_root_in_any_geometry(capsys, args, mu0):
     code, out, err = run(capsys, "well", *args, "Ls=1")
     assert code == 0 and err == ""
     assert float(data_rows(out)[1].split(",")[1]) == pytest.approx(mu0, rel=1e-9)
+
+
+@pytest.mark.parametrize("args", [
+    ["l=1e-310", "Ls=1e-310"],
+    ["l=1e-160", "Ls=1e-160"],
+    ["l=1", "Ls=1e-200"],
+], ids=["subnormal-well", "squared-bracket-overflow", "asymptotic-overflow"])
+def test_well_past_the_float_range_is_a_numerical_failure(tmp_path, capsys, args):
+    code, _, err = run(capsys, "well", "h=1", *args, f"out={tmp_path / 'w.csv'}")
+    assert code == 4 and "L=" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
