@@ -71,39 +71,6 @@ def _float_list(text: str) -> List[float]:
     return values
 
 
-# key -> (converter, default); _REQUIRED marks keys that must be supplied
-_COMMAND_KEYS = {
-    "generate": {
-        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
-        "l": (float, None), "h": (float, _REQUIRED), "X": (float, _REQUIRED),
-        "seed": (int, _REQUIRED), "out": (str, None),
-    },
-    "count": {
-        "in": (str, _REQUIRED),
-        "W": (str, _REQUIRED), **_param_keys(_ENVELOPES),
-        "refine": (int, 64), "out": (str, None),
-    },
-    "well": {
-        "h": (float, _REQUIRED), "l": (float, _REQUIRED),
-        "Ls": (_float_list, _REQUIRED), "bc": (str, "D"), "out": (str, None),
-    },
-    "borderline": {
-        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
-        "multipliers": (_float_list, [0.25, 4.0]),
-        "Xs": (_float_list, [1e3, 1e4, 1e5]),
-        "trials": (int, 100), "seed": (int, 0),
-        "l": (float, None), "h": (float, _REQUIRED),
-        "mode": (str, "whole-domain"), "refine": (int, 4),
-        "workers": (int, 0),  # 0 = available cores
-        "out": (str, _REQUIRED),
-    },
-    "expect": {
-        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
-        "ws": (_float_list, _REQUIRED),
-        "samples": (int, 10**5), "seed": (int, 0), "out": (str, None),
-    },
-}
-
 _USAGE = """\
 usage: randkp <command> [key=value ...] [config=FILE]
 
@@ -148,7 +115,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 
 def _resolve(command: str, tokens: Sequence[str]) -> Dict[str, object]:
-    spec = _COMMAND_KEYS[command]
+    spec = _COMMANDS[command][1]
     raw = _parse_tokens(tokens)
     if "config" in raw:
         merged = _read_config_file(raw.pop("config"))
@@ -231,8 +198,7 @@ def _write_csv(out: Optional[str], command: str, resolved: Dict[str, object],
             fh.write(text)
 
 
-def cmd_generate(tokens: Sequence[str]) -> int:
-    resolved = _resolve("generate", tokens)
+def cmd_generate(resolved: Dict[str, object]) -> int:
     dist, lattice_p = _realization_model("generate", resolved)
     rng = np.random.default_rng(resolved["seed"])
     if lattice_p is not None:
@@ -243,8 +209,7 @@ def cmd_generate(tokens: Sequence[str]) -> int:
     return 0
 
 
-def cmd_count(tokens: Sequence[str]) -> int:
-    resolved = _resolve("count", tokens)
+def cmd_count(resolved: Dict[str, object]) -> int:
     real = load_realization(resolved["in"])
     pert = _model(resolved, "W", _ENVELOPES)
     n_d, cert, n_n = sandwich_counts(real, pert, refine=resolved["refine"])
@@ -253,13 +218,14 @@ def cmd_count(tokens: Sequence[str]) -> int:
     return 0
 
 
-def cmd_well(tokens: Sequence[str]) -> int:
-    resolved = _resolve("well", tokens)
+def cmd_well(resolved: Dict[str, object]) -> int:
     rows = []
     for L in resolved["Ls"]:
         geom = WellGeometry(L=L, l=resolved["l"], h=resolved["h"], bc=resolved["bc"])
         mu_root = well_ground_state(geom)
         mu_asym = well_ground_asymptotic(geom)
+        if mu_root < sys.float_info.min or L > sys.float_info.max ** (1 / 3):  # subnormal, or L**3 overflows
+            raise NumericalError(f"ground state or L**3 past the float range at L={L!r}")
         err = abs(math.sqrt(mu_root) - math.sqrt(mu_asym))
         rows.append((L, mu_root, mu_asym, err, err * L**3))
     _write_csv(
@@ -269,8 +235,7 @@ def cmd_well(tokens: Sequence[str]) -> int:
     return 0
 
 
-def cmd_borderline(tokens: Sequence[str]) -> int:
-    resolved = _resolve("borderline", tokens)
+def cmd_borderline(resolved: Dict[str, object]) -> int:
     dist, lattice_p = _realization_model("borderline", resolved)
     law = borderline(dist)
     if resolved["workers"] < 0:
@@ -309,8 +274,7 @@ def cmd_borderline(tokens: Sequence[str]) -> int:
     return 0
 
 
-def cmd_expect(tokens: Sequence[str]) -> int:
-    resolved = _resolve("expect", tokens)
+def cmd_expect(resolved: Dict[str, object]) -> int:
     if resolved["dist"] == "bernoulli":
         raise UsageError("dist=bernoulli is not supported by this command")
     dist = _model(resolved, "dist", _DISTS)
@@ -326,12 +290,37 @@ def cmd_expect(tokens: Sequence[str]) -> int:
     return 0
 
 
-_HANDLERS = {
-    "generate": cmd_generate,
-    "count": cmd_count,
-    "well": cmd_well,
-    "borderline": cmd_borderline,
-    "expect": cmd_expect,
+# command -> (handler, {key: (converter, default)}); _REQUIRED marks keys that must be supplied
+_COMMANDS = {
+    "generate": (cmd_generate, {
+        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
+        "l": (float, None), "h": (float, _REQUIRED), "X": (float, _REQUIRED),
+        "seed": (int, _REQUIRED), "out": (str, None),
+    }),
+    "count": (cmd_count, {
+        "in": (str, _REQUIRED),
+        "W": (str, _REQUIRED), **_param_keys(_ENVELOPES),
+        "refine": (int, 64), "out": (str, None),
+    }),
+    "well": (cmd_well, {
+        "h": (float, _REQUIRED), "l": (float, _REQUIRED),
+        "Ls": (_float_list, _REQUIRED), "bc": (str, "D"), "out": (str, None),
+    }),
+    "borderline": (cmd_borderline, {
+        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
+        "multipliers": (_float_list, [0.25, 4.0]),
+        "Xs": (_float_list, [1e3, 1e4, 1e5]),
+        "trials": (int, 100), "seed": (int, 0),
+        "l": (float, None), "h": (float, _REQUIRED),
+        "mode": (str, "whole-domain"), "refine": (int, 4),
+        "workers": (int, 0),  # 0 = available cores
+        "out": (str, _REQUIRED),
+    }),
+    "expect": (cmd_expect, {
+        "dist": (str, _REQUIRED), **_param_keys(_DISTS),
+        "ws": (_float_list, _REQUIRED),
+        "samples": (int, 10**5), "seed": (int, 0), "out": (str, None),
+    }),
 }
 
 
@@ -341,12 +330,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(_USAGE)
         return 0 if args else 2
     command, tokens = args[0], args[1:]
-    handler = _HANDLERS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         sys.stderr.write(f"unknown command {command!r}\n{_USAGE}")
         return 2
     try:
-        return handler(tokens)
+        return _COMMANDS[command][0](_resolve(command, tokens))
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

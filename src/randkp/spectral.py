@@ -211,16 +211,16 @@ def _sweep(lengths, envelopes, seg_idx):
         u0, du0 = u[..., :m], du[..., :m]
         un = a11 * u0 + a12 * du0
         dn = a21 * u0 + a11 * du0
+        # pure decaying branch annihilated by the rescaled transfer: it shrinks by exp(-kappa*d), sign kept
+        dead = ~osc & (un == 0.0) & (dn == 0.0)
+        if dead.any():
+            un, dn = np.where(dead, u0, un), np.where(dead, -w * u0, dn)
+            g[..., :m] -= np.where(dead, 2.0 * t, 0.0)
         phi = np.arctan2(w * u0, du0)
         crossed = np.floor((phi + t) / _PI) - np.floor(phi / _PI)
         flipped = (u0 != 0.0) & ((un == 0.0) | ((u0 > 0.0) != (un > 0.0)))
         zeros[..., :m] += np.where(osc, crossed, flipped)
         kd[:, :m] += np.where(osc, 0.0, t)[:, 0]
-        # pure decaying branch annihilated by the rescaled transfer: it shrinks by exp(-kappa*d)
-        dead = ~osc & (un == 0.0) & (dn == 0.0)
-        if dead.any():
-            un, dn = np.where(dead, u0, un), np.where(dead, -w * u0, dn)
-            g[..., :m] -= np.where(dead, 2.0 * t, 0.0)
         r = np.sqrt(un * un + dn * dn)
         if not r.all():
             raise NumericalError("solution vector vanished during propagation")

@@ -38,7 +38,6 @@ _PI = math.pi
 class BorderlineLaw:
     """Critical envelope family for a gap law: constant / ln^exponent, or power law."""
 
-    dist: GapDistribution
     constant: float
     exponent: float
     kind: str  # the Perturbation kind: "logpower" or "powerlaw"
@@ -60,15 +59,15 @@ def borderline(dist: GapDistribution) -> BorderlineLaw:
     an exponential with rate ln(1/q).
     """
     if dist.kind == "exponential":
-        return BorderlineLaw(dist, dist.eta**2 * _PI**2, 2.0, "logpower")
+        return BorderlineLaw(dist.eta**2 * _PI**2, 2.0, "logpower")
     if dist.kind == "stretched":
         c = (dist.eta / dist.alpha) ** (2.0 / dist.alpha) * _PI**2
-        return BorderlineLaw(dist, c, 2.0 / dist.alpha, "logpower")
+        return BorderlineLaw(c, 2.0 / dist.alpha, "logpower")
     if dist.kind == "pareto":
-        return BorderlineLaw(dist, 1.0, 2.0 / dist.alpha, "powerlaw")
+        return BorderlineLaw(1.0, 2.0 / dist.alpha, "powerlaw")
     if dist.kind == "geometric":
         eta = math.log(1.0 / dist.q)
-        return BorderlineLaw(dist, eta**2 * _PI**2, 2.0, "logpower")
+        return BorderlineLaw(eta**2 * _PI**2, 2.0, "logpower")
     raise ValueError(f"no borderline law for distribution kind {dist.kind!r}")
 
 

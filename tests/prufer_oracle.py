@@ -30,11 +30,11 @@ def propagate_count(lengths, values, bc_left: str, bc_right: str) -> int:
             phi = math.atan2(w * u, du)
             zeros += math.floor((phi + tt) / math.pi) - math.floor(phi / math.pi)
         else:
+            if un == 0.0 and dn == 0.0:
+                # pure decaying branch annihilated by the rescaled transfer: it keeps its sign
+                un, dn = u, -w * u
             if u != 0.0 and (un == 0.0 or (u > 0.0) != (un > 0.0)):
                 zeros += 1  # convex pieces gain at most one zero
-            if un == 0.0 and dn == 0.0:
-                # pure decaying branch annihilated by the rescaled transfer
-                un, dn = u, -w * u
         r = math.hypot(un, dn)
         if r == 0.0:
             raise NumericalError("solution vector vanished during propagation")

@@ -120,6 +120,15 @@ def test_unknown_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args,expected", [([], 2), (["--help"], 0)], ids=["no-args", "help"])
+def test_usage_names_every_command(capsys, args, expected):
+    code, out, err = run(capsys, *args)
+    assert code == expected and out == ""
+    assert err.startswith("usage: randkp <command>")
+    for command in ("generate", "count", "well", "borderline", "expect"):
+        assert f"\n  {command} " in err
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -269,12 +278,16 @@ def test_well_root_in_any_geometry(capsys, args, mu0):
 
 
 @pytest.mark.parametrize("args", [
-    ["l=1e-310", "Ls=1e-310"],
-    ["l=1e-160", "Ls=1e-160"],
-    ["l=1", "Ls=1e-200"],
-], ids=["subnormal-well", "squared-bracket-overflow", "asymptotic-overflow"])
+    ["h=1", "l=1e-310", "Ls=1e-310"],
+    ["h=1", "l=1e-160", "Ls=1e-160"],
+    ["h=1", "l=1", "Ls=1e-200"],
+    ["h=1", "l=1", "Ls=1e103"],
+    ["h=1", "l=1", "Ls=1e170"],
+    ["h=1e-310", "l=1e200", "Ls=1e100"],
+], ids=["subnormal-well", "squared-bracket-overflow", "asymptotic-overflow", "cube-overflow",
+        "ground-states-round-to-zero", "subnormal-ground-state"])
 def test_well_past_the_float_range_is_a_numerical_failure(tmp_path, capsys, args):
-    code, _, err = run(capsys, "well", "h=1", *args, f"out={tmp_path / 'w.csv'}")
+    code, _, err = run(capsys, "well", *args, f"out={tmp_path / 'w.csv'}")
     assert code == 4 and "L=" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -351,6 +364,11 @@ def test_expect_columns_and_bounds(capsys):
 def test_expect_zero_samples_exits_two(capsys):
     code, _, _ = run(capsys, "expect", "dist=exp", "eta=1", "ws=1", "samples=0", "seed=1")
     assert code == 2
+
+
+def test_expect_rejects_the_lattice_law(capsys):
+    code, _, err = run(capsys, "expect", "dist=bernoulli", "p=0.5", "ws=1")
+    assert code == 2 and "bernoulli" in err
 
 
 # ---------------------------------------------------------------------------

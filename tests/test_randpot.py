@@ -16,6 +16,7 @@ from randkp import (
     load_realization,
     mean_spacing,
     sample_gaps,
+    sample_realization,
     save_realization,
 )
 
@@ -165,6 +166,18 @@ def test_strong_law_center_over_index():
     k = 1000
     ratio = real.centers[k - 1] / k
     assert abs(ratio - mean_spacing(d, l)) / mean_spacing(d, l) < 0.05
+
+
+def test_heavy_tail_draws_past_the_first_chunk():
+    # Pareto(1, 1.05) has mean spacing near 21.5, so the first chunk at X = 1000 is 124 gaps, and
+    # its heavy tail leaves X uncovered on many seeds; later chunks continue the same stream
+    d = GapDistribution.pareto(1.0, 1.05)
+    extended = 0
+    for seed in range(20):
+        gaps = sample_realization(d, 0.25, 1.0, 1000.0, np.random.default_rng(seed)).gaps
+        extended += len(gaps) > 124
+        np.testing.assert_array_equal(gaps, d.sample(len(gaps), np.random.default_rng(seed)))
+    assert extended > 0
 
 
 def test_coverage_error_names_the_problem():

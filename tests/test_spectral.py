@@ -30,7 +30,8 @@ from randkp import (
     well_ground_state,
 )
 from randkp.spectral import (
-    IntervalCounts, _domain_count, _edge_matching, _levels, _interface_negatives, _segment_counts, _sweep,
+    IntervalCounts, _domain_count, _edge_matching, _levels, _interface_negatives, _piece_coefficients, _segment_counts,
+    _sweep,
 )
 
 from prufer_oracle import propagate_count
@@ -377,6 +378,42 @@ def test_exact_zero_pivot_is_not_negative():
     assert _interface_negatives([1.0, 1.0, 1.0], [1.0, 1.0]) == 1
     # q == 0 on three pieces under N-N: the constant function is an eigenvector at exactly 0
     assert count_negative_exact(PiecewisePotential(np.array([0.0, 1.0, 6.0, 7.0]), np.zeros(3)), "N", "N").n_lo == 0
+
+
+def well_then_barrier(ts, width):
+    """One segment per t: q = -1 on a length t, then q = w**2 on width/w, with w = -u'/u of the
+    Neumann column leaving the well as ``_sweep`` normalizes it, so that column enters the
+    barrier on its decaying branch.  Returns (lengths, values, the sweep of envelope 0)."""
+    _, _, _, c11, _, c21 = _piece_coefficients(ts, np.full_like(ts, -1.0))
+    r = np.sqrt(c11 * c11 + c21 * c21)
+    w = -(c21 / r) / (c11 / r)
+    lengths = np.column_stack([ts, width / w])
+    values = np.column_stack([np.full_like(ts, -1.0), w * w])
+    sweep = _sweep(lengths.ravel(), (values.ravel(),), np.arange(0, lengths.size + 1, 2))
+    return lengths, values, [a[0] for a in sweep]
+
+
+def test_rescued_decaying_branch_counts_no_zero():
+    # a 50/w barrier scales the growing branch by exp(-100), which rounds away against 1, so
+    # the transfer annihilates the decaying column and _sweep rescues it; a 3/w barrier runs
+    # the plain transfer.  The rescued branch keeps its sign, so both barriers give the same
+    # counts at every pair of ends; counting a zero before the rescue added one under a Neumann
+    # left end.  The 50/w segments' lowest N-N level sits within rounding of 0 (its sign follows
+    # the last bits of w), so the FD oracle checks their 3/w twins, whose counts are robust.
+    ts = np.linspace(0.3, 1.5, 2001)
+    _, _, thick = well_then_barrier(ts, 50.0)
+    lengths, values, thin = well_then_barrier(ts, 3.0)
+    rescued = np.flatnonzero(thick[3][0] <= -thick[4])  # column 0 shrank: g <= -kd
+    assert len(rescued) > len(ts) // 2
+    for k in rescued.tolist():
+        for bc_left in ("D", "N"):
+            for bc_right in ("D", "N"):
+                got = _domain_count(*(a[..., k:k + 1] for a in thick), bc_left, bc_right)
+                assert got == _domain_count(*(a[..., k:k + 1] for a in thin), bc_left, bc_right)
+    for k in rescued[:3].tolist():
+        q = PiecewisePotential(np.concatenate([[0.0], np.cumsum(lengths[k])]), values[k])
+        nn = _domain_count(*(a[..., k:k + 1] for a in thick), "N", "N")
+        assert nn == fd_inertia_count(q.evaluate, q.breakpoints[-1], 200_000, "N") == 1
 
 
 def test_whole_domain_count_memory_is_bounded():

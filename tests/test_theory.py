@@ -178,6 +178,13 @@ def test_pareto_hand_integral():
     assert hi == pytest.approx(lo + PI**-3)
 
 
+def test_pareto_cutoff_below_the_scale():
+    # a = pi/sqrt(16) < x_m = 1: the tail integral is (1 - a) + 1/2 and F(a) = 1
+    lo, hi = expectation_bounds(GapDistribution.pareto(1.0, 3.0), 16.0)
+    assert lo == pytest.approx(6.0 / PI - 1.0, rel=1e-12)
+    assert hi == pytest.approx(6.0 / PI, rel=1e-12)
+
+
 def test_stretched_quadrature_agrees_with_exponential_at_alpha_one():
     for eta, w in ((1.3, 0.7), (1.3, 2.0), (2.0, 0.1)):
         lo_e, hi_e = expectation_bounds(GapDistribution.exponential(eta), w)
