@@ -8,8 +8,12 @@ are rescaled by exp(-sqrt(q)*len), so heights like 1e8 never overflow.
 
 The domain is cut into segments (renewal intervals between bump centers,
 or runs of equal values), and one numpy sweep carries both transfer
-columns of every segment at once.  Each segment keeps kd, the kappa*len
-sum of its barrier pieces, and each column its own log scale g (log r per
+columns of every segment at once, slot by slot (slot j is the j-th piece
+of each segment).  Slots run in groups of a fixed piece budget: numpy's
+per-call cost dominates at small X, so a group takes its coefficients and
+its zero counts in one pass each, and at large X the budget bounds the
+memory a group holds.  Each segment keeps kd, the kappa*len sum of its
+barrier pieces, and each column its own log scale g (log r per
 normalization), so the true transfer M is known and column ratios never
 cancel two huge kd.  Then N[0, X] = sum_k N_D(segment k) + neg(S):
 S is tridiagonal on the cuts, assembled from each segment's energy-0
@@ -183,6 +187,29 @@ def _piece_coefficients(lengths, values):
     return neg, om, t, c11, c12, c21
 
 
+_GROUP_PIECES = 1 << 13  # pieces one sweep group holds: few numpy calls per slot, cache-sized arrays
+
+
+def _sweep_groups(active):
+    """Yield ``(s0, j0, ms)``: slot ``j0 + i`` updates the sorted segments ``s0 : s0 + ms[i]``.
+
+    ``active[j]`` (nonincreasing) counts the segments with more than j
+    pieces.  The segments are cut into blocks of ``_GROUP_PIECES`` and each
+    block's slots into runs of at most that many pieces together, so a group
+    never holds more than ``_GROUP_PIECES`` pieces, at any X.
+    """
+    for s0 in range(0, active.max(initial=0), _GROUP_PIECES):
+        ms = np.minimum(active, s0 + _GROUP_PIECES) - s0
+        ms = ms[ms > 0].tolist()
+        j0, total = 0, 0
+        for j, m in enumerate(ms):
+            if total + m > _GROUP_PIECES:
+                yield s0, j0, ms[j0:j]
+                j0, total = j, 0
+            total += m
+        yield s0, j0, ms[j0:]
+
+
 def _sweep(lengths, envelopes, seg_idx):
     """Both transfer columns of every segment, for every envelope, in one pass.
 
@@ -192,8 +219,15 @@ def _sweep(lengths, envelopes, seg_idx):
     gains in the segment, its normalized end value and its log scale, and kd
     (envelopes, segments) is the segment's kappa*len sum, so the true column
     is (u, du)*exp(kd + g).  With segments in descending piece count, piece
-    slot j updates the prefix of segments with more than j pieces; only that
-    slot's coefficients are held.
+    slot j updates the prefix of segments with more than j pieces.
+
+    The slots are swept in groups of at most ``_GROUP_PIECES`` pieces (see
+    ``_sweep_groups``).  At small X a slot holds a few hundred pieces, so
+    numpy's per-call cost, not arithmetic, sets the time: each group takes
+    its coefficients in one call, the slot loop runs only the transfer
+    recurrence, and one pass after it counts the zeros of all the group's
+    slots.  At large X a group is one slot of one block of segments, so the
+    arrays stay cache-sized and memory does not grow with X.
     """
     sizes = np.diff(seg_idx)
     order = np.argsort(-sizes, kind="stable")
@@ -204,30 +238,41 @@ def _sweep(lengths, envelopes, seg_idx):
     u[:, 0] = 1.0
     du = 1.0 - u
     zeros, g, kd = np.zeros(shape), np.zeros(shape), np.zeros(shape[::2])
-    for j, m in enumerate(active.tolist()):
-        p = starts[:m] + j
+    for s0, j0, ms in _sweep_groups(active):
+        p = np.concatenate([starts[s0:s0 + m] + j for j, m in enumerate(ms, j0)])
         coefficients = _piece_coefficients(lengths[p], np.stack([q[p] for q in envelopes]))
         osc, w, t, a11, a12, a21 = (c[:, None] for c in coefficients)  # shared by both columns
-        u0, du0 = u[..., :m], du[..., :m]
-        un = a11 * u0 + a12 * du0
-        dn = a21 * u0 + a11 * du0
-        # pure decaying branch annihilated by the rescaled transfer: it shrinks by exp(-kappa*d), sign kept
-        dead = ~osc & (un == 0.0) & (dn == 0.0)
-        if dead.any():
-            un, dn = np.where(dead, u0, un), np.where(dead, -w * u0, dn)
-            g[..., :m] -= np.where(dead, 2.0 * t, 0.0)
-        phi = np.arctan2(w * u0, du0)
+        kt = np.where(osc, 0.0, t)[:, 0]
+        offsets = itertools.accumulate(ms, initial=0)
+        slots = [(slice(o, o + m), slice(s0, s0 + m)) for o, m in zip(offsets, ms)]  # (in the group, in the state)
+        u_start, du_start, u_end = (np.empty(shape[:2] + (len(p),)) for _ in range(3))
+        for k, seg in slots:
+            u0, du0 = u[..., seg], du[..., seg]
+            u_start[..., k], du_start[..., k] = u0, du0
+            un = a11[..., k] * u0 + a12[..., k] * du0
+            dn = a21[..., k] * u0 + a11[..., k] * du0
+            r = np.sqrt(un * un + dn * dn)
+            if not r.all():
+                # pure decaying branch annihilated by the rescaled transfer: it shrinks by exp(-kappa*d), sign kept
+                dead = ~osc[..., k] & (un == 0.0) & (dn == 0.0)
+                un, dn = np.where(dead, u0, un), np.where(dead, -w[..., k] * u0, dn)
+                g[..., seg] -= np.where(dead, 2.0 * t[..., k], 0.0)
+                r = np.sqrt(un * un + dn * dn)
+                if not r.all():
+                    raise NumericalError("solution vector vanished during propagation")
+            u_end[..., k] = un  # unnormalized: un/r can underflow to 0 and hide a sign change
+            np.divide(un, r, out=u0)
+            np.divide(dn, r, out=du0)
+            g[..., seg] += np.log(r)
+            kd[:, seg] += kt[:, k]
+        phi = np.arctan2(w * u_start, du_start)
         crossed = np.floor((phi + t) / _PI) - np.floor(phi / _PI)
-        flipped = (u0 != 0.0) & ((un == 0.0) | ((u0 > 0.0) != (un > 0.0)))
-        zeros[..., :m] += np.where(osc, crossed, flipped)
-        kd[:, :m] += np.where(osc, 0.0, t)[:, 0]
-        r = np.sqrt(un * un + dn * dn)
-        if not r.all():
-            raise NumericalError("solution vector vanished during propagation")
-        np.divide(un, r, out=u0)
-        np.divide(dn, r, out=du0)
-        g[..., :m] += np.log(r)
-        del coefficients, osc, w, t, a11, a12, a21, un, dn, phi, crossed, r  # freed before the next slot
+        flipped = (u_start != 0.0) & ((u_end == 0.0) | ((u_start > 0.0) != (u_end > 0.0)))
+        gained = np.where(osc, crossed, flipped)
+        for k, seg in slots:
+            zeros[..., seg] += gained[..., k]
+        # freed before the next group allocates its own
+        del p, coefficients, osc, w, t, a11, a12, a21, kt, u_start, du_start, u_end, phi, crossed, flipped, gained
     if not zeros.sum() < 2.0**53:  # past 2**53 a float64 count is no longer exact
         raise NumericalError(f"{zeros.sum():.3g} zeros: too many to count exactly")
     back = np.empty_like(order)

@@ -35,7 +35,7 @@ def propagate_count(lengths, values, bc_left: str, bc_right: str) -> int:
                 un, dn = u, -w * u
             if u != 0.0 and (un == 0.0 or (u > 0.0) != (un > 0.0)):
                 zeros += 1  # convex pieces gain at most one zero
-        r = math.hypot(un, dn)
+        r = math.sqrt(un * un + dn * dn)  # as _sweep normalizes, so both walks round alike
         if r == 0.0:
             raise NumericalError("solution vector vanished during propagation")
         u, du = un / r, dn / r

@@ -26,6 +26,7 @@ from randkp import (
     sample_gaps,
     sample_realization,
     sandwich_counts,
+    spectral,
     well_ground_asymptotic,
     well_ground_state,
 )
@@ -401,7 +402,7 @@ def test_rescued_decaying_branch_counts_no_zero():
     # left end.  The 50/w segments' lowest N-N level sits within rounding of 0 (its sign follows
     # the last bits of w), so the FD oracle checks their 3/w twins, whose counts are robust.
     ts = np.linspace(0.3, 1.5, 2001)
-    _, _, thick = well_then_barrier(ts, 50.0)
+    thick_lengths, _, thick = well_then_barrier(ts, 50.0)
     lengths, values, thin = well_then_barrier(ts, 3.0)
     rescued = np.flatnonzero(thick[3][0] <= -thick[4])  # column 0 shrank: g <= -kd
     assert len(rescued) > len(ts) // 2
@@ -414,6 +415,47 @@ def test_rescued_decaying_branch_counts_no_zero():
         q = PiecewisePotential(np.concatenate([[0.0], np.cumsum(lengths[k])]), values[k])
         nn = _domain_count(*(a[..., k:k + 1] for a in thick), "N", "N")
         assert nn == fd_inertia_count(q.evaluate, q.breakpoints[-1], 200_000, "N") == 1
+    # the scalar oracle normalizes as _sweep does, so it walks each rescued segment to the same counts
+    d, n = _segment_counts([a[None] for a in thick])
+    for k in rescued.tolist():
+        assert d[0, k] == propagate_count(thick_lengths[k], values[k], "D", "D")
+        assert n[0, k] == propagate_count(thick_lengths[k], values[k], "N", "N")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=1, max_size=120),
+    reach_share=st.floats(0.05, 1.0),
+    refine=st.sampled_from([4, 16, 64]),
+    ts=st.lists(st.floats(0.3, 1.5), min_size=1, max_size=30),
+    width=st.sampled_from([3.0, 50.0]),
+)
+# 120 refine-64 segments fill more than one default group; the 50/w barriers are rescued
+@example(gaps=[1.0, 0.0, 2.5] * 40, reach_share=1.0, refine=64, ts=np.linspace(0.3, 1.5, 30).tolist(), width=50.0)
+def test_sweep_groups_leave_every_array_unchanged(gaps, reach_share, refine, ts, width):
+    # a realization's last level plus well-then-barrier segments, swept one piece per group,
+    # in groups of at most 7 pieces and in default groups, where the rescue runs inside a group;
+    # the whole-domain counts read g and kd, which the segment counts do not
+    X = reach_share * (float(np.sum(gaps)) + 0.5 * len(gaps))
+    real = build_realization(gaps, l=0.25, h=100.0, X=X)
+    *_, (lengths, q_shallow, q_deep, seg_idx) = _levels(real, Perturbation.log_power(4.0 * PI**2, 2.0), refine)
+    well_lengths, well_values, _ = well_then_barrier(np.array(ts), width)
+    lengths = np.concatenate([lengths, well_lengths.ravel()])
+    envelopes = tuple(np.concatenate([q, well_values.ravel()]) for q in (q_shallow, q_deep))
+    seg_idx = np.concatenate([seg_idx, seg_idx[-1] + np.arange(2, well_lengths.size + 1, 2)])
+    sweeps = []
+    for budget in (1, 7, spectral._GROUP_PIECES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_GROUP_PIECES", budget)
+            sweeps.append(_sweep(lengths, envelopes, seg_idx))
+    for sweep in sweeps[:2]:
+        assert all(np.array_equal(a, b) for a, b in zip(sweep, sweeps[2]))
+    d, n = _segment_counts(sweeps[2])
+    for e, values in enumerate(envelopes):
+        for bc, got in (("D", d[e]), ("N", n[e])):
+            expected = [propagate_count(lengths[a:b], values[a:b], bc, bc) for a, b in zip(seg_idx[:-1], seg_idx[1:])]
+            assert got.tolist() == expected
+            assert _domain_count(*(a[e] for a in sweeps[2]), bc, bc) == propagate_count(lengths, values, bc, bc)
 
 
 def test_whole_domain_count_memory_is_bounded():
