@@ -2,9 +2,9 @@
 
 Configuration is given as ``key=value`` tokens after the subcommand, plus
 an optional ``config=FILE`` whose lines use the same syntax (command-line
-tokens win).  Every output file starts with ``#`` comment lines echoing
-the artifact version and the fully resolved configuration, so re-running
-a command with the header values reproduces the data rows exactly.
+tokens win).  CSV outputs start with ``#`` lines echoing the version and
+the resolved configuration, so re-running with them reproduces the data
+rows; ``generate`` writes an ``l=... h=... X=...`` header, then one gap per line.
 
 Exit codes: 0 success, 2 usage/config error, 3 input-data error,
 4 numerical failure.
@@ -73,19 +73,21 @@ def _float_list(text: str) -> List[float]:
 
 _USAGE = """\
 usage: randkp <command> [key=value ...] [config=FILE]
+       key=v shows a default, key=a|b the choices (an optional key defaults to the first)
 
 commands:
   generate    sample a bump realization and write its text serialization
               (dist=exp|stretched|pareto|geom|bernoulli, dist params, l=, h=, X=, seed=, out=)
   count       certified negative-eigenvalue counts for a realization file
-              (in=, W=logpower|powerlaw|constant with C=/s= or A=/beta= or w=, refine=, out=)
+              (in=, W=logpower|powerlaw|constant with C= s= or A= beta= or w=, refine=64, out=)
   well        ground state of the flanked well: root vs large-L asymptotics
-              (h=, l=, Ls=25,50,100, bc=D|N, out=)
-  borderline  growth experiments around the critical envelope decay
-              (dist + params, multipliers=0.25,4, Xs=1e3,1e4,1e5, trials=, seed=,
-               l=, h=, mode=whole-domain|bracket-DN, refine=, workers=, out=PREFIX)
+              (h=, l=, Ls=, bc=D|N, out=)
+  borderline  growth experiments around the critical envelope decay, into <out>_m<mult>_*.csv
+              (dist=exp|stretched|pareto|geom|bernoulli, dist params, l=, h=, multipliers=0.25,4,
+               Xs=1e3,1e4,1e5, trials=100, seed=0, mode=whole-domain|bracket-DN, refine=4,
+               workers=0 (all cores), out=)
   expect      Monte Carlo per-well counts against the two-sided expectation bounds
-              (dist + params, ws=0.5,1,2, samples=, seed=, out=)
+              (dist=exp|stretched|pareto|geom, dist params, ws=, samples=100000, seed=0, out=)
 """
 
 

@@ -42,13 +42,10 @@ class CoverageError(ValueError):
 
 
 class RealizationParseError(ValueError):
-    """Malformed realization file; remembers the offending line."""
+    """Malformed realization file; the message names the offending line."""
 
     def __init__(self, message: str, line: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +363,9 @@ def save_realization(real: PotentialRealization, dest: Union[str, IO[str]]) -> N
             fh.close()
 
 
-def load_realization(src: Union[str, IO[str]]) -> PotentialRealization:
-    own = isinstance(src, str)
-    fh = open(src, "r") if own else src
-    try:
+def load_realization(path: str) -> PotentialRealization:
+    """Read the ``save_realization`` format from the file at ``path``."""
+    with open(path) as fh:
         header = fh.readline()
         if not header:
             raise RealizationParseError("empty file", line=1)
@@ -394,12 +390,9 @@ def load_realization(src: Union[str, IO[str]]) -> PotentialRealization:
                 gaps.append(float(text))
             except ValueError:
                 raise RealizationParseError(f"bad gap value {text!r}", line=lineno) from None
-        if not gaps:
-            raise RealizationParseError("no gaps in file", line=2)
-        try:
-            return build_realization(np.array(gaps), fields["l"], fields["h"], fields["X"])
-        except ValueError as exc:
-            raise RealizationParseError(str(exc)) from exc
-    finally:
-        if own:
-            fh.close()
+    if not gaps:
+        raise RealizationParseError("no gaps in file", line=2)
+    try:
+        return build_realization(np.array(gaps), fields["l"], fields["h"], fields["X"])
+    except ValueError as exc:
+        raise RealizationParseError(str(exc)) from exc

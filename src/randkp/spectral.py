@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -51,7 +50,6 @@ __all__ = [
     "count_with_bracketed_w",
     "bracket_certificate",
     "sandwich_counts",
-    "decoupled_count",
     "well_ground_state",
     "well_ground_asymptotic",
     "edge_penetration_depth",
@@ -88,6 +86,9 @@ class PiecewisePotential:
             raise ValueError("need at least two breakpoints")
         if len(vals) != len(bp) - 1:
             raise ValueError("need exactly one value per piece")
+        for name, arr in (("breakpoint", bp), ("value", vals)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name}s must be finite, got {name} {float(arr[~np.isfinite(arr)][0])!r}")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
@@ -360,8 +361,6 @@ def count_negative_exact(
     """
     _check_bc(bc_left)
     _check_bc(bc_right)
-    if not np.all(np.isfinite(q.values)):
-        raise ValueError("piece values must be finite")
     v = q.values
     cuts = np.append(np.flatnonzero(np.append(True, v[1:] != v[:-1])), len(v))
     n = _domain_count(*(a[0] for a in _sweep(q.lengths, (v,), cuts)), bc_left, bc_right)
@@ -408,8 +407,8 @@ def fd_inertia_count(
     _check_bc(bc)
     if n_mesh < 10:
         raise ValueError("mesh too coarse: need n_mesh >= 10")
-    if not X > 0:
-        raise ValueError("domain length must be positive")
+    if not 0 < X < math.inf:
+        raise ValueError(f"domain length must be finite and positive, got X={X!r}")
     grid = np.linspace(0.0, X, n_mesh + 2)
     qs = np.asarray(q_eval(grid), dtype=float)
     if qs.shape != grid.shape or not np.all(np.isfinite(qs)):
@@ -550,23 +549,6 @@ def bracket_certificate(
             break
     return CountCertificate(n_lo=int(d_per.sum()), n_hi=int(n_per.sum()),
                             per_interval=IntervalCounts.from_arrays(d_per, n_per), converged=True)
-
-
-# ---------------------------------------------------------------------------
-# decoupled hard-wall model
-
-
-def decoupled_count(weights: Sequence[Tuple[float, float]]) -> int:
-    """Total count for decoupled hard-wall wells: sum of floor(sqrt(w)*L/pi)."""
-    arr = np.asarray(list(weights), dtype=float)
-    if arr.size == 0:
-        return 0
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("weights must be (w, L) pairs")
-    if np.any(arr < 0):
-        raise ValueError("weights and lengths must be nonnegative")
-    w, length = arr[:, 0], arr[:, 1]
-    return int(np.sum(np.floor(np.sqrt(w) * length / _PI)))
 
 
 # ---------------------------------------------------------------------------

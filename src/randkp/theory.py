@@ -7,8 +7,8 @@ of P(L_k > pi/sqrt(w_k) - c): each interval contributes a level exactly
 when its gap can hold a half wave of the local well, and the offset c
 absorbs the finite penetration into the flanking bumps.  This module
 exposes the critical constants, the piecewise-constant envelope weights
-built from the strong-law position estimate x_k ~ alpha*k, finite partial
-sums of the diagnostic series with a convergence verdict, and the two-sided
+built from the strong-law position estimate x_k ~ alpha*k, the summands of
+the diagnostic series with a convergence verdict, and the two-sided
 bounds on the expected per-interval count.
 """
 
@@ -94,10 +94,9 @@ def approx_weights(
 
 @dataclass(frozen=True, eq=False)
 class DiagnosticSum:
-    """Partial sums of the gap-tail series with a finite-K convergence verdict."""
+    """Summands of the gap-tail series with a finite-K convergence verdict."""
 
     summands: np.ndarray
-    partial_sums: np.ndarray
     verdict: str  # "converging" | "diverging" | "undetermined"
     fit_exponent: float
 
@@ -113,7 +112,7 @@ def bc_sum(
     offset: float,
     k_max: int,
 ) -> DiagnosticSum:
-    """Partial sums S_K of P(L > pi/sqrt(w_k) - offset) and a verdict.
+    """Summands P(L > pi/sqrt(w_k) - offset), k = 1..K, and a verdict on their series.
 
     The verdict fits the summand against k^-s over the last decade [K/10, K]:
     s above 1 + margin reads as a converging series, below 1 - margin as
@@ -130,7 +129,6 @@ def bc_sum(
         raise ValueError("perturbation must be strictly positive at the evaluation points")
     x = np.maximum(0.0, _PI / np.sqrt(w) - offset)
     summands = np.asarray(dist.tail(x), dtype=float)
-    partial = np.cumsum(summands)
 
     lo = max(1, k_max // 10)
     ks = np.arange(lo, k_max + 1, dtype=float)
@@ -139,7 +137,7 @@ def bc_sum(
     if int(np.count_nonzero(positive)) < 10:
         # tail underflowed to zero across the window: the series converges
         verdict = "converging" if not np.any(positive) else "undetermined"
-        return DiagnosticSum(summands, partial, verdict, math.nan)
+        return DiagnosticSum(summands, verdict, math.nan)
     slope = np.polyfit(np.log(ks[positive]), np.log(window[positive]), 1)[0]
     fit_exponent = -float(slope)
     if fit_exponent > 1.0 + _VERDICT_MARGIN:
@@ -148,7 +146,7 @@ def bc_sum(
         verdict = "diverging"
     else:
         verdict = "undetermined"
-    return DiagnosticSum(summands, partial, verdict, fit_exponent)
+    return DiagnosticSum(summands, verdict, fit_exponent)
 
 
 def _integrated_tail(dist: GapDistribution, a: float) -> float:

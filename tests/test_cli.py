@@ -1,10 +1,12 @@
 """Command-line layer: parsing, exit codes, CSV contracts, reproducibility."""
 
 import math
+import re
 import warnings
 
 import pytest
 
+from randkp import cli
 from randkp.cli import main
 
 PI = math.pi
@@ -127,6 +129,25 @@ def test_usage_names_every_command(capsys, args, expected):
     assert err.startswith("usage: randkp <command>")
     for command in ("generate", "count", "well", "borderline", "expect"):
         assert f"\n  {command} " in err
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_usage_line_matches_command_spec(command):
+    # the block runs from the command's name to the next command's name
+    block = re.search(rf"^  {command} .*?(?=^  \w|\Z)", cli._USAGE, re.S | re.M).group(0)
+    model_keys = {*cli._param_keys(cli._DISTS), *cli._param_keys(cli._ENVELOPES)}
+    for key, (conv, default) in cli._COMMANDS[command][1].items():
+        if key in model_keys:
+            continue
+        shown = re.search(rf"(?<![\w/]){key}=([^\s)]*)", block)
+        assert shown, f"{command} usage omits {key}="
+        value = shown.group(1).rstrip(",")
+        if "|" in value:  # choices: an optional key defaults to the first
+            assert default is cli._REQUIRED or default == value.split("|")[0], (command, key, value)
+        elif value:
+            assert default not in (cli._REQUIRED, None) and conv(value) == default, (command, key, value)
+        else:
+            assert default in (cli._REQUIRED, None), f"{command} usage hides the default {key}={default!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +390,7 @@ def test_expect_zero_samples_exits_two(capsys):
 def test_expect_rejects_the_lattice_law(capsys):
     code, _, err = run(capsys, "expect", "dist=bernoulli", "p=0.5", "ws=1")
     assert code == 2 and "bernoulli" in err
+    assert "bernoulli" not in cli._USAGE.split("\n  expect ")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -301,14 +301,16 @@ def test_non_finite_model_parameters_rejected(make):
 # serialization
 
 
-def test_roundtrip_is_byte_identical():
+def test_roundtrip_is_byte_identical(tmp_path):
     g = sample_gaps(GapDistribution.exponential(1.0), 50, 77)
     real = build_realization(g, l=0.5, h=2.0, X=30.0)
     buf1, buf2 = io.StringIO(), io.StringIO()
     save_realization(real, buf1)
     save_realization(real, buf2)
     assert buf1.getvalue() == buf2.getvalue()
-    loaded = load_realization(io.StringIO(buf1.getvalue()))
+    path = tmp_path / "r.txt"
+    path.write_text(buf1.getvalue())
+    loaded = load_realization(str(path))
     assert (loaded.l, loaded.h, loaded.X) == (real.l, real.h, real.X)
     np.testing.assert_array_equal(loaded.gaps, real.gaps)
     buf3 = io.StringIO()
@@ -324,8 +326,11 @@ def test_header_format(tmp_path):
     assert first == "l=0.5 h=1 X=4"
 
 
-def test_parse_errors_carry_line_numbers():
+def test_parse_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_text("bogus header\n")
     with pytest.raises(RealizationParseError, match="line 1"):
-        load_realization(io.StringIO("bogus header\n"))
+        load_realization(str(path))
+    path.write_text("l=0.5 h=1.0 X=2.0\n1.0\nnot-a-number\n")
     with pytest.raises(RealizationParseError, match="line 3"):
-        load_realization(io.StringIO("l=0.5 h=1.0 X=2.0\n1.0\nnot-a-number\n"))
+        load_realization(str(path))

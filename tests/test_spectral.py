@@ -20,7 +20,6 @@ from randkp import (
     build_realization,
     count_negative_exact,
     count_with_bracketed_w,
-    decoupled_count,
     edge_penetration_depth,
     fd_inertia_count,
     sample_gaps,
@@ -135,12 +134,24 @@ def test_input_validation():
         PiecewisePotential(np.array([0.0]), np.array([]))
     with pytest.raises(ValueError):
         PiecewisePotential(np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0]))
-    q = PiecewisePotential(np.array([0.0, 1.0]), np.array([np.inf]))
     with pytest.raises(ValueError):
-        count_negative_exact(q)
+        PiecewisePotential(np.array([0.0, 1.0]), np.array([np.inf]))
     qq = PiecewisePotential(np.array([0.0, 1.0]), np.array([-1.0]))
     with pytest.raises(ValueError):
         count_negative_exact(qq, "D", "X")
+
+
+@pytest.mark.parametrize("bp,vals,bad", [
+    ([0.0, np.inf], [-1.0], "breakpoint inf"),
+    ([-np.inf, 0.0], [1.0], "breakpoint -inf"),
+    ([0.0, np.nan, 2.0], [1.0, 1.0], "breakpoint nan"),
+    ([0.0, 1.0], [-np.inf], "value -inf"),
+    ([0.0, 1.0], [np.nan], "value nan"),
+])
+def test_potential_rejects_non_finite_input(bp, vals, bad):
+    # an infinite breakpoint would reach the sweep as a nan phase, or certify a count on an unbounded interval
+    with pytest.raises(ValueError, match=bad):
+        PiecewisePotential(np.array(bp), np.array(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +198,12 @@ def test_fd_exact_zero_pivot_counts_as_nonnegative():
 def test_fd_rejects_coarse_mesh():
     with pytest.raises(ValueError):
         fd_inertia_count(lambda x: np.zeros_like(x), 1.0, 5)
+
+
+@pytest.mark.parametrize("X", [math.inf, math.nan, 0.0, -1.0])
+def test_fd_rejects_unbounded_or_empty_domain(X):
+    with pytest.raises(ValueError, match=f"X={X!r}"):
+        fd_inertia_count(lambda x: np.zeros_like(x), X, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +530,7 @@ def test_hard_wall_interval_matches_floor_formula():
 
 
 # ---------------------------------------------------------------------------
-# decoupled hard-wall model
-
-
-def test_decoupled_integer_products():
-    assert decoupled_count([(PI**2, 1.0), (PI**2, 2.0), (PI**2, 3.0)]) == 6
-
-
-def test_decoupled_all_below_threshold():
-    assert decoupled_count([(0.1, 1.0), (0.05, 2.0)]) == 0
+# decoupled hard-wall model: the paper's floor formula, one well at a time
 
 
 def test_decoupled_matches_exact_hard_wall_termwise():
@@ -532,12 +541,7 @@ def test_decoupled_matches_exact_hard_wall_termwise():
         q = PiecewisePotential(
             np.array([0.0, l, l + L, L + 2 * l]), np.array([h - w, -w, h - w])
         )
-        assert count_negative_exact(q).n_lo == decoupled_count([(w, L)])
-
-
-def test_decoupled_validation():
-    with pytest.raises(ValueError):
-        decoupled_count([(-1.0, 2.0)])
+        assert count_negative_exact(q).n_lo == math.floor(math.sqrt(w) * L / PI)
 
 
 # ---------------------------------------------------------------------------

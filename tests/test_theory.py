@@ -107,7 +107,7 @@ def test_constant_w_sum_grows_linearly_and_diverges():
     assert res.verdict == "diverging"
     s = res.summands
     np.testing.assert_allclose(s, s[0])  # constant summand
-    assert res.partial_sums[-1] == pytest.approx(2000 * s[0])
+    assert s.sum() == pytest.approx(2000 * s[0])
 
 
 def test_sub_borderline_summand_decays_quadratically():
