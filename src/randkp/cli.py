@@ -71,6 +71,12 @@ def _float_list(text: str) -> List[float]:
     return values
 
 
+def _seed(text: str) -> int:  # numpy rejects a negative seed without naming the key
+    if (seed := int(text)) < 0:
+        raise ValueError(text)
+    return seed
+
+
 _USAGE = """\
 usage: randkp <command> [key=value ...] [config=FILE]
        key=v shows a default, key=a|b the choices (an optional key defaults to the first)
@@ -297,7 +303,7 @@ _COMMANDS = {
     "generate": (cmd_generate, {
         "dist": (str, _REQUIRED), **_param_keys(_DISTS),
         "l": (float, None), "h": (float, _REQUIRED), "X": (float, _REQUIRED),
-        "seed": (int, _REQUIRED), "out": (str, None),
+        "seed": (_seed, _REQUIRED), "out": (str, None),
     }),
     "count": (cmd_count, {
         "in": (str, _REQUIRED),
@@ -312,7 +318,7 @@ _COMMANDS = {
         "dist": (str, _REQUIRED), **_param_keys(_DISTS),
         "multipliers": (_float_list, [0.25, 4.0]),
         "Xs": (_float_list, [1e3, 1e4, 1e5]),
-        "trials": (int, 100), "seed": (int, 0),
+        "trials": (int, 100), "seed": (_seed, 0),
         "l": (float, None), "h": (float, _REQUIRED),
         "mode": (str, "whole-domain"), "refine": (int, 4),
         "workers": (int, 0),  # 0 = available cores
@@ -321,7 +327,7 @@ _COMMANDS = {
     "expect": (cmd_expect, {
         "dist": (str, _REQUIRED), **_param_keys(_DISTS),
         "ws": (_float_list, _REQUIRED),
-        "samples": (int, 10**5), "seed": (int, 0), "out": (str, None),
+        "samples": (int, 10**5), "seed": (_seed, 0), "out": (str, None),
     }),
 }
 

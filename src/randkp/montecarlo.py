@@ -71,7 +71,7 @@ class ExperimentConfig:
             raise ValueError("checkpoints must be finite and positive")
         object.__setattr__(self, "checkpoints", cps)
         if self.bc_mode not in ("whole-domain", "bracket-DN"):
-            raise ValueError("bc_mode must be 'whole-domain' or 'bracket-DN'")
+            raise ValueError(f"bc_mode must be 'whole-domain' or 'bracket-DN', got {self.bc_mode!r}")
         if not (0 < self.l < math.inf and 0 < self.h < math.inf):
             raise ValueError(f"bump geometry needs finite l > 0 and h > 0, got l={self.l!r}, h={self.h!r}")
         if self.lattice_p is not None:

@@ -427,46 +427,38 @@ _BUMP_SUBDIV_RATIO = 4  # barrier pieces refine 4x slower: envelope slack there 
 
 
 def _subdivide(edges, values, seg_edge_idx, pert: Perturbation, s: int):
-    """Sub-piece arrays plus the two monotone envelope potentials for one level.
+    """One level as ``_sweep``'s arguments: ``(lengths, (q_shallow, q_deep), seg_idx)``.
 
     Wells get ``s`` sub-pieces each, barriers s/4 (at least one); the
     envelope slack on a barrier cannot move the count once h dominates
     W.  Doubling ``s`` nests the grids, so brackets tighten monotonically.
-    The index arrays live only in this frame, so they are freed before the
-    caller sweeps the level.
+    Each base piece's start, length and value are repeated once per
+    sub-piece (no gather index); the temporaries live only in this frame.
     """
     base_len = np.diff(edges)
     subs = np.where(values == 0.0, s, max(1, s // _BUMP_SUBDIV_RATIO))
     csub = np.concatenate([[0], np.cumsum(subs)])
-    total = int(csub[-1])
-    rep = np.repeat(np.arange(len(subs)), subs)
-    local = np.arange(total) - csub[rep]
-    denom = subs[rep].astype(float)
-    start = edges[:-1][rep]
-    blen = base_len[rep]
-    lefts = start + blen * (local / denom)
-    lengths = blen / denom
-    vrep = values[rep]
-    w_left = np.asarray(pert(lefts), dtype=float)
+    denom = np.repeat(subs.astype(float), subs)
+    blen = np.repeat(base_len, subs)
+    local = np.arange(csub[-1]) - np.repeat(csub[:-1], subs)  # sub-piece index within its base piece
+    w_left = np.asarray(pert(np.repeat(edges[:-1], subs) + blen * (local / denom)), dtype=float)
     w_right = np.empty_like(w_left)
     w_right[:-1] = w_left[1:]  # a right end is the next sub-piece's left end, except at a base piece's end
     w_right[csub[1:] - 1] = np.asarray(pert(edges[:-1] + base_len), dtype=float)
-    q_deep = vrep - w_left     # W(left) >= W: more states
-    q_shallow = vrep - w_right  # W(right) <= W: fewer states
-    seg_sub_idx = csub[seg_edge_idx]
-    return lengths, q_shallow, q_deep, seg_sub_idx
+    vrep = np.repeat(values, subs)
+    return blen / denom, (vrep - w_right, vrep - w_left), csub[seg_edge_idx]  # W(right) <= W <= W(left)
 
 
 def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iterator[tuple]:
-    """Yield ``(lengths, q_shallow, q_deep, seg_idx)`` per refinement level.
+    """Yield ``(lengths, (q_shallow, q_deep), seg_idx)``, ``_sweep``'s arguments, per refinement level.
 
     The base grid cuts [0, X] at bump edges, bump centers and the domain
     ends.  Centers are included so the renewal-interval partition
     [x_k, x_{k+1}] aligns with base pieces: interval sums and the
     whole-domain count can then share one envelope grid, which makes the
-    two-sided comparison exact rather than merely statistical.  One base
-    grid serves every level; sub-pieces per well go 4, 8, ... up to
-    ``refine``.
+    two-sided comparison exact rather than merely statistical.  Only the
+    base grid outlives a yield, so a swept level is freed before the next
+    is built; sub-pieces per well go 4, 8, ... up to ``refine``.
     """
     if refine < 1:
         raise ValueError("refinement budget must be >= 1")
@@ -486,8 +478,7 @@ def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iter
 
 def _whole_domain(real, pert: Perturbation, bc: str, refine: int):
     """``count_with_bracketed_w``'s certificate plus the (shallow, deep) ``_sweep`` of its last level."""
-    for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
-        sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
+    for sweep in itertools.starmap(_sweep, _levels(real, pert, refine)):
         n_lo, n_hi = (_domain_count(*(a[e] for a in sweep), bc, bc) for e in (0, 1))
         if n_hi - n_lo <= 1:
             break
@@ -541,14 +532,12 @@ def bracket_certificate(
     side of the envelope, so the pair brackets the true count even before
     envelope refinement converges.
     """
-    for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
-        d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
-        d_per, n_per = d[0], n[1]
+    for d, n in map(_segment_counts, itertools.starmap(_sweep, _levels(real, pert, refine))):
         # refinement narrows only the envelope slack; the D/N gap itself remains
-        if d[1].sum() - d_per.sum() <= 1:
+        if d[1].sum() - d[0].sum() <= 1:
             break
-    return CountCertificate(n_lo=int(d_per.sum()), n_hi=int(n_per.sum()),
-                            per_interval=IntervalCounts.from_arrays(d_per, n_per), converged=True)
+    return CountCertificate(n_lo=int(d[0].sum()), n_hi=int(n[1].sum()),
+                            per_interval=IntervalCounts.from_arrays(d[0], n[1]), converged=True)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,10 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, args):
     (["workers=1", "multipliers=nan"], "multiplier=nan"),
     (["workers=1", "multipliers=1e308"], "multiplier=1e+308"),
     (["workers=1", "multipliers=1,inf"], "multiplier=inf"),
+    (["workers=1", "seed=-1"], "bad value for seed: '-1'"),
+    (["workers=1", "mode=foo"], "'foo'"),
 ], ids=["negative-workers", "zero-refine", "inf-multiplier", "nan-multiplier", "overflowing-multiplier",
-        "inf-after-a-valid-multiplier"])
+        "inf-after-a-valid-multiplier", "negative-seed", "unknown-mode"])
 def test_bad_borderline_run_setting_is_a_usage_error(tmp_path, capsys, args, named):
     code, _, err = run(capsys, "borderline", "dist=exp", "eta=1", "l=0.25", "h=1", "Xs=10,20", "trials=1",
                        *args, f"out={tmp_path / 'o'}")
@@ -227,7 +229,10 @@ def test_count_too_large_to_count_exactly_is_a_numerical_failure(tmp_path, capsy
     (["count", "W=logpower", "C=20", "s=2", "beta=1"], "['beta']"),
     (["generate", "dist=exp", "eta=1", "q=0.3", "l=0.25", "h=1", "X=10", "seed=1"], "['q']"),
     (["well", "h=1", "l=1", "Ls=25", "bc=X"], "'X'"),
-], ids=["count-constant-C", "count-logpower-beta", "generate-exp-q", "well-bad-bc"])
+    (["generate", "dist=exp", "eta=1", "l=0.25", "h=1", "X=10", "seed=-1"], "bad value for seed: '-1'"),
+    (["expect", "dist=exp", "eta=1", "ws=1", "samples=10", "seed=-3"], "bad value for seed: '-3'"),
+], ids=["count-constant-C", "count-logpower-beta", "generate-exp-q", "well-bad-bc", "generate-negative-seed",
+        "expect-negative-seed"])
 def test_unused_model_key_is_a_usage_error(realization_file, tmp_path, capsys, args, named):
     out = tmp_path / "o.csv"
     extra = [f"in={realization_file}"] if args[0] == "count" else []

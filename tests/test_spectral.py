@@ -333,7 +333,7 @@ def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
     real = build_realization(gaps, l=l, h=100.0, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
-        for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
+        for lengths, (q_shallow, q_deep), seg_idx in _levels(real, pert, refine):
             d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc, got in (("D", d[e]), ("N", n[e])):
@@ -359,7 +359,7 @@ def test_whole_domain_count_equals_scalar_counter(gaps, l, h, reach_share, refin
     real = build_realization(gaps, l=l, h=h, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
-        for lengths, q_shallow, q_deep, seg_idx in _levels(real, pert, refine):
+        for lengths, (q_shallow, q_deep), seg_idx in _levels(real, pert, refine):
             sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc in ("D", "N"):
@@ -455,7 +455,7 @@ def test_sweep_groups_leave_every_array_unchanged(gaps, reach_share, refine, ts,
     # the whole-domain counts read g and kd, which the segment counts do not
     X = reach_share * (float(np.sum(gaps)) + 0.5 * len(gaps))
     real = build_realization(gaps, l=0.25, h=100.0, X=X)
-    *_, (lengths, q_shallow, q_deep, seg_idx) = _levels(real, Perturbation.log_power(4.0 * PI**2, 2.0), refine)
+    *_, (lengths, (q_shallow, q_deep), seg_idx) = _levels(real, Perturbation.log_power(4.0 * PI**2, 2.0), refine)
     well_lengths, well_values, _ = well_then_barrier(np.array(ts), width)
     lengths = np.concatenate([lengths, well_lengths.ravel()])
     envelopes = tuple(np.concatenate([q, well_values.ravel()]) for q in (q_shallow, q_deep))
@@ -475,19 +475,25 @@ def test_sweep_groups_leave_every_array_unchanged(gaps, reach_share, refine, ts,
             assert _domain_count(*(a[e] for a in sweeps[2]), bc, bc) == propagate_count(lengths, values, bc, bc)
 
 
-def test_whole_domain_count_memory_is_bounded():
+@pytest.mark.parametrize("X, multiplier, refine, bound", [
     # one X = 1e5 count holds no per-piece Python objects: about 55 MB, where a
     # scalar walk over list copies of the piece arrays peaks near 110 MB
+    pytest.param(1e5, 4.0, 4, 80e6, id="level-4"),
+    # refines through levels 4, 8, 16 and 32: about 26 MB when each level is freed before
+    # the next is built, about 36 MB when the previous level's arrays outlive its sweep
+    pytest.param(1e4, 1000.0, 64, 30e6, id="levels-4-to-32"),
+])
+def test_whole_domain_count_memory_is_bounded(X, multiplier, refine, bound):
     dist = GapDistribution.exponential(1.0)
-    real = sample_realization(dist, 0.25, 100.0, 1e5, np.random.default_rng(1))
-    pert = borderline(dist).perturbation(4.0)
+    real = sample_realization(dist, 0.25, 100.0, X, np.random.default_rng(1))
+    pert = borderline(dist).perturbation(multiplier)
     tracemalloc.start()
     try:
-        count_with_bracketed_w(real, pert, "D", refine=4)
+        count_with_bracketed_w(real, pert, "D", refine=refine)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80e6
+    assert peak < bound
 
 
 def test_per_interval_counts_are_an_immutable_int_sequence():
@@ -517,27 +523,21 @@ def test_per_interval_counts_are_an_immutable_int_sequence():
         per.d = b""
 
 
-def test_hard_wall_interval_matches_floor_formula():
-    rng = np.random.default_rng(55)
-    h, l = 1e8, 0.5
-    for _ in range(100):
-        w = float(rng.uniform(0.05, 9.0))
-        L = float(rng.uniform(0.2, 12.0))
-        q = PiecewisePotential(
-            np.array([0.0, l, l + L, L + 2 * l]), np.array([h - w, -w, h - w])
-        )
-        assert count_negative_exact(q).n_lo == math.floor(math.sqrt(w) * L / PI)
-
-
 # ---------------------------------------------------------------------------
 # decoupled hard-wall model: the paper's floor formula, one well at a time
 
 
-def test_decoupled_matches_exact_hard_wall_termwise():
-    rng = np.random.default_rng(606)
+@pytest.mark.parametrize("seed, draw", [
+    # 100 draws of w from U(0.05, 9), each followed by its L from U(0.2, 12)
+    pytest.param(55, lambda rng: [(float(rng.uniform(0.05, 9.0)), float(rng.uniform(0.2, 12.0))) for _ in range(100)],
+                 id="seed-55"),
+    # 200 (w, L) pairs from U(0.1, 8)^2
+    pytest.param(606, lambda rng: rng.uniform(0.1, 8.0, (200, 2)), id="seed-606"),
+])
+def test_hard_wall_interval_matches_floor_formula(seed, draw):
+    # a well of depth w and width L between two 1e8 walls holds floor(sqrt(w)*L/pi) states
     h, l = 1e8, 0.5
-    pairs = rng.uniform(0.1, 8.0, (200, 2))
-    for w, L in pairs:
+    for w, L in draw(np.random.default_rng(seed)):
         q = PiecewisePotential(
             np.array([0.0, l, l + L, L + 2 * l]), np.array([h - w, -w, h - w])
         )
