@@ -25,7 +25,14 @@ zero eigenvalue is excluded as the strict count requires.
 
 Non-constant envelopes W(x) are handled by monotone piecewise-constant
 upper/lower approximations on a refined sub-piece grid, which yields a
-certified count interval.  An independent finite-difference inertia count
+certified count interval.  A realization is counted in one pass over its
+renewal segments in x-ordered blocks of a fixed sub-piece budget, so memory
+does not grow with X: the walk over the cuts (last pivot, running counts,
+and the left half of the cut between two blocks) carries from block to
+block.  The pass settles every checkpoint x it reaches with one more pivot
+and the counts of the tail segment [x_K, x], built from the truncation's
+own grid, so each checkpoint's certificate is bit-identical to a count on
+that truncation.  An independent finite-difference inertia count
 cross-checks the oscillation counter.
 """
 
@@ -302,52 +309,113 @@ def _segment_counts(sweep):
     return d.astype(np.int64), n.astype(np.int64)
 
 
-def _interface_negatives(diag, b2) -> int:
-    """Negative pivots of the LDL^T factorization of a symmetric tridiagonal S.
+def _pivots(diag, b2, neg: int = 0, d: float = math.inf):
+    """Continue the LDL^T factorization of a symmetric tridiagonal S: ``(negative pivots, last pivot)``.
 
-    ``b2[i]`` is the squared entry that couples rows i and i+1.  An exactly
-    zero pivot counts as nonnegative and is replaced by a tiny positive
-    value: the count is that of S plus a vanishing positive diagonal shift,
-    which excludes a zero eigenvalue as the strict count must.
+    ``b2[i]`` is the squared entry that couples row i to the row before it;
+    the first row's is divided by the starting pivot inf, so it drops out.
+    An exactly zero pivot counts as nonnegative and is replaced by a tiny
+    positive value: the count is that of S plus a vanishing positive diagonal
+    shift, which excludes a zero eigenvalue as the strict count must.
     """
-    count, d = 0, math.inf  # first iteration reduces to d = a
-    for a, b in zip(diag, itertools.chain([0.0], b2)):
+    for a, b in zip(diag, b2):
         d = a - b / d
         if d < 0.0:
-            count += 1
+            neg += 1
         elif d == 0.0:
             d = math.ulp(0.0)
-    if math.isnan(d):
-        raise NumericalError("interface factorization produced NaN")
-    return count
+    return neg, d
+
+
+def _terms(sweep, lead: Optional[int], end: Optional[str]):
+    """The interface walk's terms for consecutive segments of a ``_sweep``, each (envelopes, segments).
+
+    Every cut is Dirichlet on both sides.  A segment gives its D count, the
+    right half m11/m12 = (u0/u1)*exp(g0 - g1) of the cut before it, the left
+    half m22/m12 = du1/u1 of the cut after it and the squared coupling
+    (-1/m12)^2 = (exp(-kd - g1)/u1)^2.  ``lead`` is the column that meets the
+    domain's left end condition when the first segment is the domain's first
+    (else None); that segment has no cut before it, so its right half is
+    +inf: its pivot is +inf and the next reduces to a - b/inf = a.  ``end``
+    is None for segments with a cut after them, giving ``(cut, left, right,
+    b2)``; for the domain's last segment it is the right end condition, which
+    sets its count and, when Neumann, its right half m21/m22 =
+    (du0/du1)*exp(g0 - g1), the Schur complement of the end node, giving
+    ``(cut, right)``.
+    """
+    zeros, u, du, g, kd = sweep
+    z, uu, dd = zeros[:, 1], u[:, 1], du[:, 1]
+    first = 0 if lead is None else 1
+    if lead is not None:
+        z, uu, dd = z.copy(), uu.copy(), dd.copy()
+        z[:, 0], uu[:, 0], dd[:, 0] = zeros[:, lead, 0], u[:, lead, 0], du[:, lead, 0]
+    ends = du if end == "N" else u
+    num, den = ends[:, 0, first:], ends[:, 1, first:]
+    if not (den.all() and (end is not None or uu.all())):
+        raise NumericalError("a segment has an eigenvalue at exactly 0: it has no Dirichlet-to-Neumann map")
+    head = (len(z), first)  # the lead segment's column
+    right = np.concatenate([np.full(head, math.inf), num / den * np.exp(g[:, 0, first:] - g[:, 1, first:])], axis=1)
+    if end is not None:
+        return _end_rule(z, uu, dd, end).astype(np.int64), right
+    b2 = np.concatenate([np.zeros(head), np.square(np.exp(-kd[:, first:] - g[:, 1, first:]) / den)], axis=1)
+    return _end_rule(z, uu, dd, "D").astype(np.int64), dd / uu, right, b2
+
+
+class _Walk:
+    """N[0, p] = sum_k N_D(segment k) + neg(S), walked segment by segment and carried across blocks.
+
+    ``state`` holds, per envelope, the summed D counts of the segments taken
+    so far (the first under the left end condition), the negative pivots of
+    S on the cuts between them, the last pivot, and the left half and squared
+    coupling that the last segment gives the next cut.  By Sylvester's law
+    the sum of the first two is the count with a Dirichlet cut at the last
+    segment's end, so ``feed`` with a stop per segment reads off the prefix
+    curve N_D[0, x_k].
+    """
+
+    def __init__(self, envelopes: int):
+        self.state = [(0, 0, math.inf, 0.0, 0.0)] * envelopes
+
+    def feed(self, terms, stops):
+        """Take the next segments (``_terms`` with no end); return the state after the first i for each i in ``stops``."""
+        cut, left, right, b2 = terms
+        cum = np.cumsum(cut, axis=1)
+        left0s, b0s = (np.array([[s[f]] for s in self.state]) for f in (3, 4))  # carried from the last segment
+        diags = (np.concatenate([left0s, left[:, :-1]], axis=1) + right).tolist()  # the cut before each segment
+        b2ss = np.concatenate([b0s, b2], axis=1).tolist()
+        snaps = [[] for _ in stops]
+        for e, ((n_cut, neg, d, left0, b0), diag, b2s) in enumerate(zip(self.state, diags, b2ss)):
+            pos = 0
+            for k, i in enumerate([*stops, len(diag)]):
+                neg, d = _pivots(diag[pos:i], b2s[pos:i], neg, d)
+                pos = i
+                state = (n_cut + int(cum[e, i - 1]), neg, d, float(left[e, i - 1]), b2s[i]) if i else \
+                    (n_cut, neg, d, left0, b0)
+                if k < len(stops):
+                    snaps[k].append(state)
+            self.state[e] = state
+        return snaps
+
+    @staticmethod
+    def close(state, terms):
+        """Per-envelope counts of the domain that ends with the segment of ``terms`` (``end`` set) after ``state``."""
+        out = []
+        for (n_cut, neg, d, left0, b0), c, r in zip(state, terms[0][:, 0].tolist(), terms[1][:, 0].tolist()):
+            p = (left0 + r) - b0 / d
+            if math.isnan(p):
+                raise NumericalError("interface factorization produced NaN")
+            out.append(n_cut + c + neg + (p < 0.0))
+        return out
 
 
 def _domain_count(zeros, u, du, g, kd, bc_left: str, bc_right: str) -> int:
-    """Count on one envelope's segments (``_sweep`` arrays of shape (2, segments)).
-
-    The first segment takes the left end condition (column 0 when it is
-    Neumann), the last one the right end rule, and every cut is Dirichlet on
-    both sides: N = sum_k N(segment k) + neg(S), S on the interior cuts.  A
-    segment's DtN entries are m11/m12 = (u0/u1)*exp(g0 - g1), m22/m12 =
-    du1/u1 and -1/m12 = -exp(-kd - g1)/u1; an end segment with a Neumann
-    outer end gives its one cut m21/m11 = du0/u0 (first) or m21/m22 =
-    (du0/du1)*exp(g0 - g1) (last), the Schur complement of that end node.
-    """
-    first = 0 if bc_left == "N" else 1  # the column that meets the left end condition
-    z, uu, dd = zeros[1].copy(), u[1].copy(), du[1].copy()
-    z[0], uu[0], dd[0] = zeros[first, 0], u[first, 0], du[first, 0]
-    count = int(_end_rule(z[:-1], uu[:-1], dd[:-1], "D").sum() + _end_rule(z[-1], uu[-1], dd[-1], bc_right))
-    if len(z) == 1:
-        return count
-    # node k (1 <= k < K) is the cut between segments k-1 and k
-    num, den = u[0, 1:].copy(), u[1, 1:].copy()
-    if bc_right == "N":
-        num[-1], den[-1] = du[0, -1], du[1, -1]
-    if not (uu[:-1].all() and den.all()):
-        raise NumericalError("a segment has an eigenvalue at exactly 0: it has no Dirichlet-to-Neumann map")
-    diag = dd[:-1] / uu[:-1] + num / den * np.exp(g[0, 1:] - g[1, 1:])
-    b2 = np.square(np.exp(-kd[1:-1] - g[1, 1:-1]) / u[1, 1:-1])  # couplings of the interior segments
-    return count + _interface_negatives(diag.tolist(), b2.tolist())
+    """Count on one envelope's segments (``_sweep`` arrays of shape (2, segments)): one walk, then its last segment."""
+    sweep = [a[None] for a in (zeros, u, du, g, kd)]
+    lead, m = (0 if bc_left == "N" else 1), zeros.shape[-1] - 1
+    walk = _Walk(1)
+    if m:
+        walk.feed(_terms([a[..., :m] for a in sweep], lead, None), [])
+    return walk.close(walk.state, _terms([a[..., m:] for a in sweep], None if m else lead, bc_right))[0]
 
 
 def count_negative_exact(
@@ -376,7 +444,7 @@ def _negative_pivots(diag, b2: float) -> int:
 
     ``b2`` is the common squared off-diagonal entry, a Python float so that
     dividing by a tiny pivot gives inf without a numpy warning.  An exactly
-    zero pivot counts as nonnegative, by the rule of ``_interface_negatives``.
+    zero pivot counts as nonnegative, by the rule of ``_pivots``.
     """
     count, d = 0, math.inf  # first iteration reduces to d = a
     for a in diag:
@@ -424,10 +492,37 @@ def fd_inertia_count(
 # bracketed counts for realizations with a decaying envelope
 
 _BUMP_SUBDIV_RATIO = 4  # barrier pieces refine 4x slower: envelope slack there is inert
+_BLOCK_PIECES = 1 << 15  # sub-pieces per streamed block: time flat from 2^14 to 2^17, memory grows above 2^15
 
 
-def _subdivide(edges, values, seg_edge_idx, pert: Perturbation, s: int):
-    """One level as ``_sweep``'s arguments: ``(lengths, (q_shallow, q_deep), seg_idx)``.
+def _span(real: PotentialRealization, j0: int, x: float):
+    """Base pieces of [p_j0, x] on the grid of ``real.truncate(x)``: ``(starts, lengths, values, firsts)``.
+
+    p_0 = 0 and p_j is center j-1.  The grid cuts at bump edges, bump
+    centers and the ends, so the renewal partition aligns with base pieces
+    (``firsts`` holds each segment's first piece); interval sums and the
+    whole-domain count then share one envelope grid, which makes the
+    two-sided comparison exact rather than merely statistical.  Only the
+    bumps near the span enter, and only those the truncation keeps (up to
+    the first with center >= x - l), so each piece has the bits the
+    truncation's own grid gives it.
+    """
+    c, l = real.centers, real.l
+    near = c[max(j0 - 2, 0):int(np.searchsorted(c, x - l, side="left")) + 1]
+    inside = c[j0:int(np.searchsorted(c, x, side="left"))]
+    lo = c[j0 - 1] if j0 else 0.0
+    lefts, rights = near - l, near + l
+    cand = np.concatenate([[lo, x], lefts, inside, rights])
+    cand = np.sort(cand[(cand >= lo) & (cand <= x)])
+    edges = cand[np.append(True, cand[1:] != cand[:-1])]  # np.unique's own sort and mask
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    idx = np.searchsorted(lefts, mids, side="right") - 1  # the last bump starting at or before each mid
+    values = np.where((idx >= 0) & (mids <= rights[idx]), real.h, 0.0)
+    return edges[:-1], np.diff(edges), values, np.searchsorted(edges, np.concatenate([[lo], inside]))
+
+
+def _subdivide(starts, base_len, values, seg_idx, pert: Perturbation, s: int):
+    """One level of base pieces as ``_sweep``'s arguments: ``(lengths, (q_shallow, q_deep), seg_idx)``.
 
     Wells get ``s`` sub-pieces each, barriers s/4 (at least one); the
     envelope slack on a barrier cannot move the count once h dominates
@@ -435,54 +530,123 @@ def _subdivide(edges, values, seg_edge_idx, pert: Perturbation, s: int):
     Each base piece's start, length and value are repeated once per
     sub-piece (no gather index); the temporaries live only in this frame.
     """
-    base_len = np.diff(edges)
     subs = np.where(values == 0.0, s, max(1, s // _BUMP_SUBDIV_RATIO))
     csub = np.concatenate([[0], np.cumsum(subs)])
     denom = np.repeat(subs.astype(float), subs)
     blen = np.repeat(base_len, subs)
     local = np.arange(csub[-1]) - np.repeat(csub[:-1], subs)  # sub-piece index within its base piece
-    w_left = np.asarray(pert(np.repeat(edges[:-1], subs) + blen * (local / denom)), dtype=float)
+    w_left = np.asarray(pert(np.repeat(starts, subs) + blen * (local / denom)), dtype=float)
     w_right = np.empty_like(w_left)
     w_right[:-1] = w_left[1:]  # a right end is the next sub-piece's left end, except at a base piece's end
-    w_right[csub[1:] - 1] = np.asarray(pert(edges[:-1] + base_len), dtype=float)
+    w_right[csub[1:] - 1] = np.asarray(pert(starts + base_len), dtype=float)
     vrep = np.repeat(values, subs)
-    return blen / denom, (vrep - w_right, vrep - w_left), csub[seg_edge_idx]  # W(right) <= W <= W(left)
+    return blen / denom, (vrep - w_right, vrep - w_left), csub[seg_idx]  # W(right) <= W <= W(left)
 
 
-def _levels(real: PotentialRealization, pert: Perturbation, refine: int) -> Iterator[tuple]:
-    """Yield ``(lengths, (q_shallow, q_deep), seg_idx)``, ``_sweep``'s arguments, per refinement level.
+def _block(real: PotentialRealization, spans, pert: Perturbation, s: int, grid: dict):
+    """``_sweep``'s arguments for the spans ``(j0, x)`` of ``_span``, one after another.
 
-    The base grid cuts [0, X] at bump edges, bump centers and the domain
-    ends.  Centers are included so the renewal-interval partition
-    [x_k, x_{k+1}] aligns with base pieces: interval sums and the
-    whole-domain count can then share one envelope grid, which makes the
-    two-sided comparison exact rather than merely statistical.  Only the
-    base grid outlives a yield, so a swept level is freed before the next
-    is built; sub-pieces per well go 4, 8, ... up to ``refine``.
+    ``grid`` keeps the base pieces of the last block built, so a domain that
+    fits in one block builds its base grid once for all levels.
+    """
+    key = tuple(spans)
+    if key not in grid:
+        parts = [_span(real, j0, x) for j0, x in spans]
+        starts, base_len, values = (np.concatenate([p[i] for p in parts]) for i in range(3))
+        offsets = itertools.accumulate((len(p[0]) for p in parts), initial=0)
+        seg_idx = np.concatenate([p[3] + o for p, o in zip(parts, offsets)] + [[len(starts)]])
+        grid.clear()
+        grid[key] = starts, base_len, values, seg_idx
+    return _subdivide(*grid[key], pert, s)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """Nonnegative counts in the smallest unsigned dtype that holds them; others stay for IntervalCounts to reject."""
+    return a.astype(np.min_scalar_type(a.max(initial=0))) if a.min(initial=0) >= 0 else a
+
+
+def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bool, bc: str, grid: dict):
+    """``(whole-domain counts, D sums, N sums, per-interval counts)`` at each checkpoint of ``xs`` on level ``s``.
+
+    Checkpoint x (``xs`` increase) with K centers before it is segments
+    0..K-1 of the renewal partition, which every later checkpoint shares,
+    plus its tail [p_K, x].  One pass streams segments 0..K-1 of the last
+    checkpoint in x-ordered blocks of at most ``_BLOCK_PIECES`` sub-pieces
+    (by the level's bound of one well and two barriers per segment),
+    carrying the ``_Walk`` and the running sums from block to block.  Each
+    tail is built from the truncation's own grid and swept with the block
+    that reaches p_K, and settles its checkpoint with one more pivot and its
+    own counts.  The counts per envelope are (shallow, deep); only ``whole``
+    runs the walk, and only its absence keeps the per-interval counts.
+    ``grid`` is ``_block``'s, passed from level to level.
+    """
+    c = real.centers
+    ks = np.searchsorted(c, xs, side="left").tolist()
+    per = max(1, _BLOCK_PIECES // (s + 2 * max(1, s // _BUMP_SUBDIV_RATIO)))
+    lead = 0 if bc == "N" else 1
+    walk, sums, parts, out = _Walk(2), np.zeros(4, dtype=np.int64), [], []
+    for j0 in range(0, ks[-1] + 1, per):
+        j1 = min(j0 + per, ks[-1])
+        mine = [t for t in range(len(out), len(xs)) if ks[t] < j0 + per]
+        # a tail that starts where the block ends is swept as the block's last segment
+        merged = j0 < j1 and bool(mine) and ks[mine[-1]] == j1
+        tails = mine[:-1] if merged else mine
+        spans = [(j0, xs[mine[-1]] if merged else c[j1 - 1])] if j0 < j1 else []
+        sweep = _sweep(*_block(real, spans + [(ks[t], xs[t]) for t in tails], pert, s, grid))
+        m = j1 - j0
+        at = dict(zip((mine[-1:] if merged else []) + tails, itertools.count(m)))
+        d, n = _segment_counts(sweep)
+        cum = np.cumsum(np.concatenate([d[:, :m], n[:, :m]]), axis=1)  # (d, n) x (shallow, deep)
+        stops = [ks[t] - j0 for t in mine]
+        if whole and m:
+            snaps = walk.feed(_terms([a[..., :m] for a in sweep], lead if j0 == 0 else None, None), stops)
+        elif whole:
+            snaps = [walk.state] * len(mine)
+        else:
+            d0, n1 = _narrow(d[0]), _narrow(n[1])  # the per-interval counts, kept narrow across blocks
+        for k, (t, i) in enumerate(zip(mine, stops)):
+            p = at[t]
+            dn = (sums + (cum[:, i - 1] if i else 0) + np.concatenate([d[:, p], n[:, p]])).tolist()
+            tail = [a[..., p:p + 1] for a in sweep]
+            counts = walk.close(snaps[k], _terms(tail, lead if ks[t] == 0 else None, bc)) if whole else None
+            per_interval = None if whole else IntervalCounts.from_arrays(
+                np.concatenate([*(q[0] for q in parts), d0[:i], d0[p:p + 1]]),
+                np.concatenate([*(q[1] for q in parts), n1[:i], n1[p:p + 1]]))
+            out.append((counts, dn[:2], dn[2:], per_interval))
+        if m:
+            sums += cum[:, -1]
+            if not whole:
+                parts.append((d0[:m], n1[:m]))
+    return out
+
+
+def _certificates(real: PotentialRealization, pert: Perturbation, xs, refine: int, whole: bool, bc: str = "D"):
+    """``(certificate, n_D, n_N)`` of ``real.truncate(x)`` for each checkpoint x of ``xs`` (increasing).
+
+    Sub-pieces per well go 4, 8, ... up to ``refine``.  A checkpoint settles
+    on the first level where its stop rule holds, and each level streams
+    only as far as the last checkpoint not settled yet.  With ``whole`` the
+    certificate is the whole-domain count with ``bc`` at both ends, which
+    stops once it is at most 1 wide (else it is flagged unconverged at the
+    budget); otherwise it is the Dirichlet/Neumann interval-sum pair with
+    its per-interval counts, which stops once the deep envelope's Dirichlet
+    sum is within 1 of the shallow one's.  n_D and n_N are the interval sums
+    on the settling level.
     """
     if refine < 1:
         raise ValueError("refinement budget must be >= 1")
-    X, l, centers = real.X, real.l, real.centers
-    inside = centers[(centers > 0) & (centers < X)]
-    edges = np.unique(np.concatenate([[0.0, X], np.clip(centers - l, 0.0, X), inside, np.clip(centers + l, 0.0, X)]))
-    values = real.potential(0.5 * (edges[:-1] + edges[1:]))
-    # renewal partition {0, x_1, ..., x_K, X} as indices into edges
-    seg_edge_idx = np.searchsorted(edges, np.concatenate([[0.0], inside, [X]]))
-    s = min(4, refine)
-    while True:
-        yield _subdivide(edges, values, seg_edge_idx, pert, s)
-        if s >= refine:
-            return
+    done, grid, s = {}, {}, min(4, refine)
+    while len(done) < len(xs):
+        pending = [i for i in range(len(xs)) if i not in done]
+        tallies = _level(real, pert, [xs[i] for i in pending], s, whole, bc, grid)
+        for i, (counts, d, n, per_interval) in zip(pending, tallies):
+            slack = counts[1] - counts[0] if whole else d[1] - d[0]
+            if slack <= 1 or s >= refine:
+                cert = (CountCertificate(*counts, converged=slack <= 1) if whole
+                        else CountCertificate(d[0], n[1], per_interval=per_interval))
+                done[i] = (cert, d[0], n[1])
         s = min(2 * s, refine)
-
-
-def _whole_domain(real, pert: Perturbation, bc: str, refine: int):
-    """``count_with_bracketed_w``'s certificate plus the (shallow, deep) ``_sweep`` of its last level."""
-    for sweep in itertools.starmap(_sweep, _levels(real, pert, refine)):
-        n_lo, n_hi = (_domain_count(*(a[e] for a in sweep), bc, bc) for e in (0, 1))
-        if n_hi - n_lo <= 1:
-            break
-    return CountCertificate(n_lo=n_lo, n_hi=n_hi, converged=n_hi - n_lo <= 1), sweep
+    return [done[i] for i in range(len(xs))]
 
 
 def count_with_bracketed_w(
@@ -500,7 +664,7 @@ def count_with_bracketed_w(
     the budget is exhausted (then the certificate is flagged unconverged).
     """
     _check_bc(bc)
-    return _whole_domain(real, pert, bc, refine)[0]
+    return _certificates(real, pert, [real.X], refine, True, bc)[0][0]
 
 
 def sandwich_counts(
@@ -513,11 +677,10 @@ def sandwich_counts(
     Because segment and whole-domain counts use identical piecewise
     potentials, Dirichlet-Neumann bracketing gives the exact chain
     n_D <= n_lo <= n_hi <= n_N, not just a statistical tendency.  The
-    interval sums are taken once, on the level where the certificate stopped.
+    interval sums are taken on the level where the certificate stopped.
     """
-    cert, sweep = _whole_domain(real, pert, "D", refine)
-    d, n = _segment_counts(sweep)
-    return int(d[0].sum()), cert, int(n[1].sum())
+    cert, n_d, n_n = _certificates(real, pert, [real.X], refine, True)[0]
+    return n_d, cert, n_n
 
 
 def bracket_certificate(
@@ -532,12 +695,7 @@ def bracket_certificate(
     side of the envelope, so the pair brackets the true count even before
     envelope refinement converges.
     """
-    for d, n in map(_segment_counts, itertools.starmap(_sweep, _levels(real, pert, refine))):
-        # refinement narrows only the envelope slack; the D/N gap itself remains
-        if d[1].sum() - d[0].sum() <= 1:
-            break
-    return CountCertificate(n_lo=int(d[0].sum()), n_hi=int(n[1].sum()),
-                            per_interval=IntervalCounts.from_arrays(d[0], n[1]), converged=True)
+    return _certificates(real, pert, [real.X], refine, False)[0][0]
 
 
 # ---------------------------------------------------------------------------

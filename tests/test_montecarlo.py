@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randkp import (
     ExperimentConfig,
     GapDistribution,
     Perturbation,
+    bracket_certificate,
+    build_realization,
+    count_with_bracketed_w,
     estimate_expected_count,
     expectation_bounds,
     run_experiment,
@@ -53,6 +58,45 @@ def test_counts_nondecreasing_under_dirichlet_truncation():
     for t in rep.trials:
         counts = t.counts
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+# a checkpoint before the first center, one exactly at a center, one inside a bump, or a share of the reach
+_CHECKPOINT = st.tuples(st.sampled_from(["before", "center", "inside", "share"]), st.integers(0, 100),
+                        st.floats(0.01, 0.99))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=1, max_size=40),
+    l=st.sampled_from([0.25, 0.5]),
+    picks=st.lists(_CHECKPOINT, min_size=1, max_size=4),
+    refine=st.sampled_from([4, 16, 64]),
+    multiplier=st.sampled_from([0.5, 4.0, 64.0]),
+)
+# zero gaps, a checkpoint before the first center, one at center 2 and one inside bump 3
+@example(gaps=[0.5, 0.0, 0.0, 1.5, 0.0, 2.0], l=0.25,
+         picks=[("before", 0, 0.5), ("center", 2, 0.5), ("inside", 3, 0.8), ("share", 0, 0.99)],
+         refine=64, multiplier=64.0)
+def test_trial_certificates_equal_truncation_counts(gaps, l, picks, refine, multiplier):
+    # run_trial settles every checkpoint from one stream over its realization; each certificate,
+    # with its converged flag and per-interval bytes, is the count of the truncation at it
+    reach = float(np.sum(gaps)) + 2.0 * l * len(gaps)
+    real = build_realization(gaps, l=l, h=100.0, X=reach)
+    c = real.centers
+    at = {"before": lambda i, f: f * c[0], "center": lambda i, f: c[i % len(c)],
+          "inside": lambda i, f: c[i % len(c)] + (f - 0.5) * l, "share": lambda i, f: f * reach}
+    xs = tuple(sorted({float(at[kind](i, f)) for kind, i, f in picks}))
+    pert = Perturbation.log_power(multiplier * PI**2, 2.0)
+    for mode, count in (("whole-domain", lambda r: count_with_bracketed_w(r, pert, "D", refine)),
+                        ("bracket-DN", lambda r: bracket_certificate(r, pert, refine))):
+        cfg = small_cfg(pert=pert, l=l, h=100.0, checkpoints=xs, trials=1, bc_mode=mode, refine=refine)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "sample_realization", lambda *args: real)
+            trial = run_trial(cfg, 0)
+        for x, cert in zip(xs, trial.certificates):
+            want = count(real.truncate(x))
+            assert (cert.n_lo, cert.n_hi, cert.converged) == (want.n_lo, want.n_hi, want.converged)
+            assert cert.per_interval == want.per_interval  # bytes and dtype, or both None
 
 
 def test_bracket_mode_contains_whole_domain():

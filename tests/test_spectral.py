@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randkp import (
+    ExperimentConfig,
     GapDistribution,
     Perturbation,
     PiecewisePotential,
@@ -22,6 +23,7 @@ from randkp import (
     count_with_bracketed_w,
     edge_penetration_depth,
     fd_inertia_count,
+    run_trial,
     sample_gaps,
     sample_realization,
     sandwich_counts,
@@ -30,8 +32,8 @@ from randkp import (
     well_ground_state,
 )
 from randkp.spectral import (
-    IntervalCounts, _domain_count, _edge_matching, _levels, _interface_negatives, _piece_coefficients, _segment_counts,
-    _sweep,
+    IntervalCounts, _block, _certificates, _domain_count, _edge_matching, _pivots, _piece_coefficients,
+    _segment_counts, _sweep,
 )
 
 from prufer_oracle import propagate_count
@@ -42,6 +44,16 @@ PI = math.pi
 def constant_well_count(w, X):
     # eigenvalues (n*pi/X)**2 - w for n >= 1 under D-D
     return sum(1 for n in range(1, int(math.sqrt(max(w, 0)) * X / PI) + 2) if (n * PI / X) ** 2 < w)
+
+
+def levels(real, pert, refine):
+    """Each refinement level of the whole of [0, X] as one block, in ``_sweep``'s argument shape."""
+    s = min(4, refine)
+    while True:
+        yield _block(real, [(0, real.X)], pert, s, {})
+        if s >= refine:
+            return
+        s = min(2 * s, refine)
 
 
 def random_piecewise(rng, max_pieces=50, x_lo=5.0, x_hi=80.0, q_max=10.0):
@@ -333,7 +345,7 @@ def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
     real = build_realization(gaps, l=l, h=100.0, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
-        for lengths, (q_shallow, q_deep), seg_idx in _levels(real, pert, refine):
+        for lengths, (q_shallow, q_deep), seg_idx in levels(real, pert, refine):
             d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc, got in (("D", d[e]), ("N", n[e])):
@@ -359,7 +371,7 @@ def test_whole_domain_count_equals_scalar_counter(gaps, l, h, reach_share, refin
     real = build_realization(gaps, l=l, h=h, X=X)
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
-        for lengths, (q_shallow, q_deep), seg_idx in _levels(real, pert, refine):
+        for lengths, (q_shallow, q_deep), seg_idx in levels(real, pert, refine):
             sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc in ("D", "N"):
@@ -390,10 +402,12 @@ def test_exact_counter_equals_scalar_counter(pieces, bc_left, bc_right):
 
 def test_exact_zero_pivot_is_not_negative():
     # [[1, 1], [1, 1]] has eigenvalues 0 and 2: its last pivot is exactly 0 and is no negative mode
-    assert _interface_negatives([1.0, 1.0], [1.0]) == 0
+    assert _pivots([1.0, 1.0], [0.0, 1.0])[0] == 0
     # [[1, 1, 0], [1, 1, 1], [0, 1, 1]] has eigenvalues 1 - sqrt(2), 1, 1 + sqrt(2): the zero
     # pivot in the middle becomes tiny and positive, so the next one is the negative mode
-    assert _interface_negatives([1.0, 1.0, 1.0], [1.0, 1.0]) == 1
+    assert _pivots([1.0, 1.0, 1.0], [0.0, 1.0, 1.0])[0] == 1
+    # continued from its state after the first two rows, the walk ends the same way
+    assert _pivots([1.0], [1.0], *_pivots([1.0, 1.0], [0.0, 1.0])) == _pivots([1.0, 1.0, 1.0], [0.0, 1.0, 1.0])
     # q == 0 on three pieces under N-N: the constant function is an eigenvector at exactly 0
     assert count_negative_exact(PiecewisePotential(np.array([0.0, 1.0, 6.0, 7.0]), np.zeros(3)), "N", "N").n_lo == 0
 
@@ -455,7 +469,7 @@ def test_sweep_groups_leave_every_array_unchanged(gaps, reach_share, refine, ts,
     # the whole-domain counts read g and kd, which the segment counts do not
     X = reach_share * (float(np.sum(gaps)) + 0.5 * len(gaps))
     real = build_realization(gaps, l=0.25, h=100.0, X=X)
-    *_, (lengths, (q_shallow, q_deep), seg_idx) = _levels(real, Perturbation.log_power(4.0 * PI**2, 2.0), refine)
+    *_, (lengths, (q_shallow, q_deep), seg_idx) = levels(real, Perturbation.log_power(4.0 * PI**2, 2.0), refine)
     well_lengths, well_values, _ = well_then_barrier(np.array(ts), width)
     lengths = np.concatenate([lengths, well_lengths.ravel()])
     envelopes = tuple(np.concatenate([q, well_values.ravel()]) for q in (q_shallow, q_deep))
@@ -475,21 +489,68 @@ def test_sweep_groups_leave_every_array_unchanged(gaps, reach_share, refine, ts,
             assert _domain_count(*(a[e] for a in sweeps[2]), bc, bc) == propagate_count(lengths, values, bc, bc)
 
 
-@pytest.mark.parametrize("X, multiplier, refine, bound", [
-    # one X = 1e5 count holds no per-piece Python objects: about 55 MB, where a
-    # scalar walk over list copies of the piece arrays peaks near 110 MB
-    pytest.param(1e5, 4.0, 4, 80e6, id="level-4"),
-    # refines through levels 4, 8, 16 and 32: about 26 MB when each level is freed before
-    # the next is built, about 36 MB when the previous level's arrays outlive its sweep
-    pytest.param(1e4, 1000.0, 64, 30e6, id="levels-4-to-32"),
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=15, max_size=60),
+    l=st.sampled_from([0.25, 0.5]),
+    shares=st.lists(st.floats(0.0, 1.0), max_size=3),
+    refine=st.sampled_from([4, 16, 64]),
+    multiplier=st.sampled_from([4.0, 64.0]),
+)
+# 16 zero gaps: every base piece is a barrier half, and center 13 sits at 13.5 exactly
+@example(gaps=[0.0] * 16, l=0.5, shares=[], refine=16, multiplier=64.0)
+def test_block_size_leaves_every_certificate_unchanged(gaps, l, shares, refine, multiplier):
+    # blocks of one segment, of seven level-4 segments and the default; a checkpoint inside
+    # bump 6 has seven segments before its tail, so a seven-segment block ends right before it,
+    # and one exactly at center 13 has 13; the others are shares of the reach
+    reach = float(np.sum(gaps)) + 2.0 * l * len(gaps)
+    real = build_realization(gaps, l=l, h=100.0, X=reach)
+    c = real.centers
+    xs = sorted({float(c[6]) + 0.5 * l, float(c[13]), reach, *(v * reach for v in shares if v > 0.0)})
+    pert = Perturbation.log_power(multiplier * PI**2, 2.0)
+    runs = []
+    for budget in (1, 7 * 6, spectral._BLOCK_PIECES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_BLOCK_PIECES", budget)
+            runs.append([_certificates(real, pert, xs, refine, whole, bc)
+                         for whole, bc in ((True, "D"), (True, "N"), (False, "D"))])
+    assert runs[0] == runs[2] and runs[1] == runs[2]
+    # per-interval counts compare as bytes; the Dirichlet sums are the per-interval ones
+    for cert, n_d, n_n in runs[2][2]:
+        assert (n_d, n_n) == (cert.n_lo, cert.n_hi) == (sum(d for _, d, _ in cert.per_interval),
+                                                       sum(n for _, _, n in cert.per_interval))
+
+
+def _trial_to(X):
+    """A count-shaped call that runs one refine-4 trial with checkpoints X/100, X/10 and X."""
+    dist = GapDistribution.exponential(1.0)
+    cfg = ExperimentConfig(dist=dist, pert=borderline(dist).perturbation(4.0), l=0.25, h=100.0,
+                           checkpoints=(X / 100, X / 10, X), trials=1)
+    return lambda real, pert, refine: run_trial(cfg, 0)
+
+
+@pytest.mark.parametrize("X, multiplier, refine, bound, count", [
+    # one X = 1e5 count holds no per-piece Python objects: about 6 MB in blocks and 40 MB
+    # as one whole level, where a scalar walk over list copies of the pieces peaks near 110 MB
+    pytest.param(1e5, 4.0, 4, 80e6, count_with_bracketed_w, id="level-4"),
+    # refines through levels 4, 8, 16 and 32: about 5 MB in blocks; 25 MB with each whole level
+    # freed before the next is built, 36 MB when a level's arrays outlive its sweep
+    pytest.param(1e4, 1000.0, 64, 30e6, count_with_bracketed_w, id="levels-4-to-32"),
+    # X = 1e6 streams its 666 000 segments in blocks: about 14 MB, the realization's centers
+    # (5 MB) plus about one block, where building the whole level at once peaks near 390 MB
+    pytest.param(1e6, 4.0, 4, 40e6, count_with_bracketed_w, id="level-4-1e6"),
+    pytest.param(1e6, 4.0, 4, 40e6, bracket_certificate, id="level-4-1e6-bracket-DN"),
+    # a trial to 1e5 samples its own realization and settles 1e3, 1e4 and 1e5 from one
+    # stream (about 8 MB); recounting each checkpoint on its own whole level peaks near 41 MB
+    pytest.param(1e5, 4.0, 4, 20e6, _trial_to(1e5), id="trial-to-1e5"),
 ])
-def test_whole_domain_count_memory_is_bounded(X, multiplier, refine, bound):
+def test_whole_domain_count_memory_is_bounded(X, multiplier, refine, bound, count):
     dist = GapDistribution.exponential(1.0)
     real = sample_realization(dist, 0.25, 100.0, X, np.random.default_rng(1))
     pert = borderline(dist).perturbation(multiplier)
     tracemalloc.start()
     try:
-        count_with_bracketed_w(real, pert, "D", refine=refine)
+        count(real, pert, refine=refine)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
