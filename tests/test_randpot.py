@@ -93,6 +93,30 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(a, sample_gaps(d, 3, 43))
 
 
+def reference_inverse_cdf(d, u):
+    """The inverse CDFs as whole-array expressions, the reference for the in-place ones of ``sample``."""
+    if d.kind == "exponential":
+        return -np.log1p(-u) / d.eta
+    if d.kind == "stretched":
+        return (d.alpha * (-np.log1p(-u)) / d.eta) ** (1.0 / d.alpha)
+    if d.kind == "pareto":
+        return d.x_m * (1.0 - u) ** (-1.0 / d.alpha)
+    return np.maximum(np.ceil(np.log1p(-u) / math.log(d.q) - 1.0), 0.0)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS + [
+    GapDistribution.exponential(2.5),
+    GapDistribution.stretched_exponential(0.7, 0.5),  # exponent 2: numpy's squaring shortcut
+    GapDistribution.stretched_exponential(1.3, 3.0),
+    GapDistribution.pareto(0.2, 3.0),
+    GapDistribution.geometric(0.9),
+], ids=repr)
+def test_in_place_sampling_matches_the_expressions_byte_for_byte(dist):
+    got = dist.sample(10_000, np.random.default_rng(17))
+    expected = reference_inverse_cdf(dist, np.random.default_rng(17).random(10_000))
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_pareto_samples_respect_support():
     g = sample_gaps(GapDistribution.pareto(1.0, 2.0), 10_000, 7)
     assert np.all(g >= 1.0)

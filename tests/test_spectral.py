@@ -32,8 +32,8 @@ from randkp import (
     well_ground_state,
 )
 from randkp.spectral import (
-    IntervalCounts, _block, _certificates, _domain_count, _edge_matching, _pivots, _piece_coefficients,
-    _segment_counts, _sweep,
+    IntervalCounts, NumericalError, _block, _certificates, _domain_count, _edge_matching, _negative_pivots, _pivots,
+    _piece_coefficients, _segment_counts, _sweep,
 )
 
 from prufer_oracle import propagate_count
@@ -216,6 +216,141 @@ def test_fd_rejects_coarse_mesh():
 def test_fd_rejects_unbounded_or_empty_domain(X):
     with pytest.raises(ValueError, match=f"X={X!r}"):
         fd_inertia_count(lambda x: np.zeros_like(x), X, 100)
+
+
+def test_fd_overflowing_mesh_is_a_numerical_error():
+    # a step of 1e-84 makes the squared coupling 1/step**4 overflow, and every pivot NaN
+    with pytest.raises(NumericalError, match="NaN"):
+        fd_inertia_count(lambda x: np.zeros_like(x), 1e-80, 1000)
+
+
+def test_evaluate_is_right_continuous_and_held_past_either_end():
+    q = PiecewisePotential(np.array([-1.0, 0.5, 2.0, 7.0]), np.array([3.0, -4.0, 9.0]))
+    x = np.array([-5.0, -1.0, -0.5, 0.5, 1.0, 2.0, 6.9, 7.0, 70.0, np.nextafter(0.5, -1.0), np.nextafter(2.0, 9.0)])
+    np.testing.assert_array_equal(q.evaluate(x), [3.0, 3.0, 3.0, -4.0, -4.0, 9.0, 9.0, 9.0, 9.0, 3.0, 9.0])
+    assert q.evaluate(0.5) == -4.0 and q.evaluate(-2.0) == 3.0 and q.evaluate(8.0) == 9.0
+
+
+def scalar_negative_pivots(diag, b2):
+    """The reference LDL^T inertia count: one row at a time, an exact zero pivot nonnegative and then ulp(0)."""
+    count, d = 0, math.inf
+    for a in diag.tolist():
+        d = a - b2 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = math.ulp(0.0)
+    return count
+
+
+@pytest.fixture
+def scalar_rows(monkeypatch):
+    """Lengths of the row runs that the blocked count hands to the scalar ``_pivots``."""
+    seen = []
+
+    def spy(diag, b2, *state):
+        seen.append(len(diag))
+        return pivots(diag, b2, *state)
+
+    pivots = spectral._pivots
+    monkeypatch.setattr(spectral, "_pivots", spy)
+    return seen
+
+
+B = spectral._FD_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 7 * B, 7 * B + 45, 300 * B + 3])
+def test_blocked_inertia_equals_scalar_loop_at_every_length(n, scalar_rows):
+    rng = np.random.default_rng(n)
+    inv2 = float(rng.uniform(1e3, 1e9))
+    for diag, b2 in [
+        (2.0 * inv2 + rng.uniform(-30.0, 10.0, n), inv2 * inv2),  # FD rows: wells and barriers
+        (rng.uniform(-3.0, 3.0, n), float(rng.uniform(0.1, 4.0))),  # pivots near 0 in every block
+    ]:
+        scalar_rows.clear()
+        assert _negative_pivots(diag, b2) == scalar_negative_pivots(diag, b2)
+        assert scalar_rows[-1] < B  # only the rows after the last full block go one by one
+
+
+def test_blocked_inertia_equals_scalar_loop_on_fd_matrices(monkeypatch):
+    # every FD matrix of random D and N problems, the Neumann end rows included, counted both ways
+    counts = []
+
+    def both(diag, b2):
+        counts.append((blocked(diag, b2), scalar_negative_pivots(diag, b2)))
+        return counts[-1][0]
+
+    blocked = spectral._negative_pivots
+    monkeypatch.setattr(spectral, "_negative_pivots", both)
+    rng = np.random.default_rng(3003)
+    for bc in ("D", "N") * 6:
+        q, X = random_piecewise(rng, q_max=20.0)
+        fd_inertia_count(q.evaluate, X, int(rng.integers(20_000, 200_000)), bc)
+    assert len(counts) == 12 and all(a == b for a, b in counts)
+
+
+@pytest.mark.parametrize("n,zero_row", [
+    (3 * B, B - 1),  # last row of block 0
+    (3 * B, 2 * B),  # first row of block 2
+    (3 * B + 2, 3 * B + 1),  # last row of the matrix, after the blocks
+    (4 * B, 4 * B - 1),  # last row of the matrix, the last row of a block
+])
+def test_blocked_inertia_exact_zero_pivots_at_block_edges(n, zero_row, scalar_rows):
+    # ones on the diagonal and b2 = 1 give the pivots 1, 0, -inf, 1, 0, ...: every row 3k + 1 has an
+    # exact zero pivot, nonnegative and then ulp(0), and every block map is exact
+    assert zero_row % 3 == 1
+    diag, b2 = np.ones(n), 1.0
+    assert _negative_pivots(diag, b2) == scalar_negative_pivots(diag, b2) == n // 3
+    # a zero after pivots that converge to 2: 2.5 - 1/2 = 0 exactly, at the same rows
+    diag = np.full(n, 2.5)
+    diag[zero_row] = 0.5
+    expected = scalar_negative_pivots(diag, 1.0)
+    assert expected == (0 if zero_row == n - 1 else 1)
+    scalar_rows.clear()
+    assert _negative_pivots(diag, 1.0) == expected
+    assert max(scalar_rows) < B  # the zero rule ran inside the blocks, not in a scalar fallback
+
+
+def test_blocked_inertia_zero_pivot_where_the_block_maps_round():
+    # block 0 ends on an exact zero pivot after pivots that are not exact, so the chained start of
+    # block 1 is a rounding away from 0, in about a quarter of these cases below it; a start of the
+    # other sign than the pivot it continues must not be trusted
+    rng = np.random.default_rng(5)
+    for base in rng.uniform(2.05, 4.0, 40).tolist():
+        diag = np.full(3 * B, base)
+        d = math.inf
+        for a in diag[:B - 1].tolist():
+            d = a - 1.0 / d
+        diag[B - 1] = 1.0 / d
+        assert _negative_pivots(diag, 1.0) == scalar_negative_pivots(diag, 1.0) == 1
+
+
+def test_blocked_inertia_zero_rule_with_a_subnormal_coupling():
+    # b2 / ulp(0) is about 2024 here, not inf: the zero rule, not the division, decides the next pivot
+    b2 = 1e-320
+    diag = np.ones(3 * B)
+    diag[B - 2], diag[B - 1] = b2, 3000.0  # pivots 1, ..., 1, exactly 0, then 3000 - 2024 > 0
+    assert _negative_pivots(diag, b2) == scalar_negative_pivots(diag, b2) == 0
+
+
+def test_blocked_inertia_at_astronomical_diagonals(scalar_rows):
+    # a 1e30 wall on [3, 4] between q = -4 wells: 1 + 3 hard-wall levels; block maps without
+    # rescaling overflow within a few rows of the wall
+    q = PiecewisePotential(np.array([0.0, 3.0, 4.0, 10.0]), np.array([-4.0, 1e30, -4.0]))
+    assert count_negative_exact(q).n_lo == 4
+    assert fd_inertia_count(q.evaluate, 10.0, 20_000) == 4
+    assert max(scalar_rows) < B  # counted in the blocks: every start was trusted
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        n = int(rng.integers(1, 40 * B))
+        diag = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+        for b2 in (1e-12, 1.0, 1.6e13, 1e40):
+            assert _negative_pivots(diag, b2) == scalar_negative_pivots(diag, b2)
+    for v in (1e300, -1e300):  # one extreme run in the middle of FD rows
+        diag = np.full(9 * B, 2e8)
+        diag[4 * B - 7:5 * B + 3] = v
+        assert _negative_pivots(diag, 1e16) == scalar_negative_pivots(diag, 1e16)
 
 
 # ---------------------------------------------------------------------------
