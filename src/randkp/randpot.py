@@ -111,7 +111,7 @@ class GapDistribution:
     def tail(self, x: ArrayLike) -> ArrayLike:
         """P(L > x) in closed form; ``x`` must be nonnegative."""
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise ValueError("tail is only defined for x >= 0")
         if self.kind == "exponential":
             out = np.exp(-self.eta * arr)

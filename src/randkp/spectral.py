@@ -29,11 +29,12 @@ certified count interval.  A realization is counted in one pass over its
 renewal segments in x-ordered blocks of a fixed sub-piece budget, so memory
 does not grow with X: the walk over the cuts (last pivot, running counts,
 and the left half of the cut between two blocks) carries from block to
-block.  The pass settles every checkpoint x it reaches with one more pivot
-and the counts of the tail segment [x_K, x], built from the truncation's
-own grid, so each checkpoint's certificate is bit-identical to a count on
-that truncation.  An independent finite-difference inertia count
-cross-checks the oscillation counter.
+block.  A checkpoint x with K centers before it ends a block at segment
+K-1, and that block also sweeps the tail segment [x_K, x], built from the
+truncation's own grid, whose counts and one more pivot settle x; so each
+checkpoint's certificate is bit-identical to a count on that truncation.
+An independent finite-difference inertia count cross-checks the
+oscillation counter.
 """
 
 from __future__ import annotations
@@ -366,38 +367,27 @@ class _Walk:
     S on the cuts between them, the last pivot, and the left half and squared
     coupling that the last segment gives the next cut.  By Sylvester's law
     the sum of the first two is the count with a Dirichlet cut at the last
-    segment's end, so ``feed`` with a stop per segment reads off the prefix
-    curve N_D[0, x_k].
+    segment's end.
     """
 
     def __init__(self, envelopes: int):
         self.state = [(0, 0, math.inf, 0.0, 0.0)] * envelopes
 
-    def feed(self, terms, stops):
-        """Take the next segments (``_terms`` with no end); return the state after the first i for each i in ``stops``."""
+    def feed(self, terms):
+        """Take the next segments (``_terms`` with no end) into ``state``."""
         cut, left, right, b2 = terms
-        cum = np.cumsum(cut, axis=1)
+        n_cuts = cut.sum(axis=1).tolist()
         left0s, b0s = (np.array([[s[f]] for s in self.state]) for f in (3, 4))  # carried from the last segment
         diags = (np.concatenate([left0s, left[:, :-1]], axis=1) + right).tolist()  # the cut before each segment
         b2ss = np.concatenate([b0s, b2], axis=1).tolist()
-        snaps = [[] for _ in stops]
-        for e, ((n_cut, neg, d, left0, b0), diag, b2s) in enumerate(zip(self.state, diags, b2ss)):
-            pos = 0
-            for k, i in enumerate([*stops, len(diag)]):
-                neg, d = _pivots(diag[pos:i], b2s[pos:i], neg, d)
-                pos = i
-                state = (n_cut + int(cum[e, i - 1]), neg, d, float(left[e, i - 1]), b2s[i]) if i else \
-                    (n_cut, neg, d, left0, b0)
-                if k < len(stops):
-                    snaps[k].append(state)
-            self.state[e] = state
-        return snaps
+        for e, ((n_cut, neg, d, _, _), diag, b2s) in enumerate(zip(self.state, diags, b2ss)):
+            neg, d = _pivots(diag, b2s, neg, d)
+            self.state[e] = (n_cut + n_cuts[e], neg, d, float(left[e, -1]), b2s[-1])
 
-    @staticmethod
-    def close(state, terms):
+    def close(self, terms):
         """Per-envelope counts of the domain that ends with the segment of ``terms`` (``end`` set) after ``state``."""
         out = []
-        for (n_cut, neg, d, left0, b0), c, r in zip(state, terms[0][:, 0].tolist(), terms[1][:, 0].tolist()):
+        for (n_cut, neg, d, left0, b0), c, r in zip(self.state, terms[0][:, 0].tolist(), terms[1][:, 0].tolist()):
             p = (left0 + r) - b0 / d
             if math.isnan(p):
                 raise NumericalError("interface factorization produced NaN")
@@ -411,8 +401,8 @@ def _domain_count(zeros, u, du, g, kd, bc_left: str, bc_right: str) -> int:
     lead, m = (0 if bc_left == "N" else 1), zeros.shape[-1] - 1
     walk = _Walk(1)
     if m:
-        walk.feed(_terms([a[..., :m] for a in sweep], lead, None), [])
-    return walk.close(walk.state, _terms([a[..., m:] for a in sweep], None if m else lead, bc_right))[0]
+        walk.feed(_terms([a[..., :m] for a in sweep], lead, None))
+    return walk.close(_terms([a[..., m:] for a in sweep], None if m else lead, bc_right))[0]
 
 
 def count_negative_exact(
@@ -626,49 +616,38 @@ def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bo
     checkpoint in x-ordered blocks of at most ``_BLOCK_PIECES`` sub-pieces
     (by the level's bound of one well and two barriers per segment),
     carrying the ``_Walk`` and the running sums from block to block.  Each
-    tail is built from the truncation's own grid and swept with the block
-    that reaches p_K, and settles its checkpoint with one more pivot and its
-    own counts.  The counts per envelope are (shallow, deep); only ``whole``
-    runs the walk, and only its absence keeps the per-interval counts.
-    ``grid`` is ``_block``'s, passed from level to level.
+    checkpoint's K ends a block, which also sweeps the tail, built from the
+    truncation's own grid; right after the block is fed, the tail settles
+    its checkpoint with one more pivot and its own counts.  The counts per
+    envelope are (shallow, deep); only ``whole`` runs the walk, and only its
+    absence keeps the per-interval counts.  ``grid`` is ``_block``'s, passed
+    from level to level.
     """
     c = real.centers
-    ks = np.searchsorted(c, xs, side="left").tolist()
     per = max(1, _BLOCK_PIECES // (s + 2 * max(1, s // _BUMP_SUBDIV_RATIO)))
     lead = 0 if bc == "N" else 1
-    walk, sums, parts, out = _Walk(2), np.zeros(4, dtype=np.int64), [], []
-    for j0 in range(0, ks[-1] + 1, per):
-        j1 = min(j0 + per, ks[-1])
-        mine = [t for t in range(len(out), len(xs)) if ks[t] < j0 + per]
-        # a tail that starts where the block ends is swept as the block's last segment
-        merged = j0 < j1 and bool(mine) and ks[mine[-1]] == j1
-        tails = mine[:-1] if merged else mine
-        spans = [(j0, xs[mine[-1]] if merged else c[j1 - 1])] if j0 < j1 else []
-        sweep = _sweep(*_block(real, spans + [(ks[t], xs[t]) for t in tails], pert, s, grid))
-        m = j1 - j0
-        at = dict(zip((mine[-1:] if merged else []) + tails, itertools.count(m)))
-        d, n = _segment_counts(sweep)
-        cum = np.cumsum(np.concatenate([d[:, :m], n[:, :m]]), axis=1)  # (d, n) x (shallow, deep)
-        stops = [ks[t] - j0 for t in mine]
-        if whole and m:
-            snaps = walk.feed(_terms([a[..., :m] for a in sweep], lead if j0 == 0 else None, None), stops)
-        elif whole:
-            snaps = [walk.state] * len(mine)
-        else:
-            d0, n1 = _narrow(d[0]), _narrow(n[1])  # the per-interval counts, kept narrow across blocks
-        for k, (t, i) in enumerate(zip(mine, stops)):
-            p = at[t]
-            dn = (sums + (cum[:, i - 1] if i else 0) + np.concatenate([d[:, p], n[:, p]])).tolist()
-            tail = [a[..., p:p + 1] for a in sweep]
-            counts = walk.close(snaps[k], _terms(tail, lead if ks[t] == 0 else None, bc)) if whole else None
-            per_interval = None if whole else IntervalCounts.from_arrays(
-                np.concatenate([*(q[0] for q in parts), d0[:i], d0[p:p + 1]]),
-                np.concatenate([*(q[1] for q in parts), n1[:i], n1[p:p + 1]]))
-            out.append((counts, dn[:2], dn[2:], per_interval))
-        if m:
-            sums += cum[:, -1]
-            if not whole:
+    walk, sums, parts, out, j0 = _Walk(2), np.zeros(4, dtype=np.int64), [], [], 0
+    for k, x in zip(np.searchsorted(c, xs, side="left").tolist(), xs):
+        while True:
+            j1 = min(j0 + per, k)
+            m = j1 - j0
+            spans = ([(j0, c[j1 - 1])] if m else []) + ([(k, x)] if j1 == k else [])
+            sweep = _sweep(*_block(real, spans, pert, s, grid))
+            d, n = _segment_counts(sweep)
+            if whole and m:
+                walk.feed(_terms([a[..., :m] for a in sweep], lead if j0 == 0 else None, None))
+            elif not whole:
+                d0, n1 = _narrow(d[0]), _narrow(n[1])  # the per-interval counts, kept narrow across blocks
                 parts.append((d0[:m], n1[:m]))
+            sums += np.concatenate([d[:, :m], n[:, :m]]).sum(axis=1)  # (d, n) x (shallow, deep)
+            j0 = j1
+            if j1 == k:
+                break
+        dn = (sums + np.concatenate([d[:, m], n[:, m]])).tolist()
+        counts = walk.close(_terms([a[..., m:] for a in sweep], lead if k == 0 else None, bc)) if whole else None
+        per_interval = None if whole else IntervalCounts.from_arrays(
+            np.concatenate([*(q[0] for q in parts), d0[m:]]), np.concatenate([*(q[1] for q in parts), n1[m:]]))
+        out.append((counts, dn[:2], dn[2:], per_interval))
     return out
 
 

@@ -83,8 +83,8 @@ def approx_weights(
         raise ValueError("side must be '+' or '-'")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    if alpha_mean <= 0:
-        raise ValueError("mean spacing must be positive")
+    if not 0 < alpha_mean < math.inf:
+        raise ValueError(f"mean spacing must be positive and finite, got alpha_mean={alpha_mean!r}")
     if k_max < 1:
         raise ValueError("need k_max >= 1")
     scale = (1.0 - epsilon) if side == "+" else (1.0 + epsilon)
@@ -122,8 +122,8 @@ def bc_sum(
     """
     if k_max < 1:
         raise ValueError("need k_max >= 1")
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
+    if not offset >= 0:
+        raise ValueError(f"offset must be nonnegative, got offset={offset!r}")
     w = approx_weights(pert, alpha_mean, epsilon, k_max)
     if np.any(w <= 0):
         raise ValueError("perturbation must be strictly positive at the evaluation points")

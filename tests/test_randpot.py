@@ -66,8 +66,9 @@ def test_tail_nonincreasing_on_dense_grid(dist):
 
 
 def test_tail_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        GapDistribution.exponential(1.0).tail(-0.1)
+    for x in (-0.1, math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            GapDistribution.exponential(1.0).tail(x)
 
 
 def test_parameter_validation():

@@ -637,11 +637,14 @@ def test_sweep_groups_leave_every_array_unchanged(gaps, reach_share, refine, ts,
 def test_block_size_leaves_every_certificate_unchanged(gaps, l, shares, refine, multiplier):
     # blocks of one segment, of seven level-4 segments and the default; a checkpoint inside
     # bump 6 has seven segments before its tail, so a seven-segment block ends right before it,
-    # and one exactly at center 13 has 13; the others are shares of the reach
+    # and one exactly at center 13 has 13; a second checkpoint in bump 6 has the same seven, so
+    # its block sweeps its tail alone, and one before the first center has none; the others are
+    # shares of the reach
     reach = float(np.sum(gaps)) + 2.0 * l * len(gaps)
     real = build_realization(gaps, l=l, h=100.0, X=reach)
     c = real.centers
-    xs = sorted({float(c[6]) + 0.5 * l, float(c[13]), reach, *(v * reach for v in shares if v > 0.0)})
+    xs = sorted({float(c[6]) + 0.25 * l, float(c[6]) + 0.5 * l, float(c[13]), reach,
+                 *([0.5 * float(c[0])] if c[0] > 0.0 else []), *(v * reach for v in shares if v > 0.0)})
     pert = Perturbation.log_power(multiplier * PI**2, 2.0)
     runs = []
     for budget in (1, 7 * 6, spectral._BLOCK_PIECES):

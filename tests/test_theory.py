@@ -157,6 +157,12 @@ def test_bc_sum_rejects_vanishing_w():
     d = GapDistribution.exponential(1.0)
     with pytest.raises(ValueError):
         bc_sum(d, Perturbation.constant(0.0), 1.5, 0.05, 0.0, 100)
+    # NaN passes `nan <= 0` and `nan < 0`; let through, it gives all-NaN summands read as "converging"
+    pert = Perturbation.log_power(4 * PI**2, 2.0)
+    for alpha, offset, name in ((math.nan, 0.0, "alpha_mean=nan"), (math.inf, 0.0, "alpha_mean=inf"),
+                                (1.5, math.nan, "offset=nan")):
+        with pytest.raises(ValueError, match=name):
+            bc_sum(d, pert, alpha, 0.05, offset, 1000)
 
 
 # ---------------------------------------------------------------------------
