@@ -244,7 +244,9 @@ class PotentialRealization:
 
     @cached_property
     def centers(self) -> np.ndarray:
-        c = np.cumsum(self.gaps + 2.0 * self.l) - self.l
+        c = self.gaps + 2.0 * self.l  # one array throughout: at X = 1e7 each temporary would be 69 MB
+        np.cumsum(c, out=c)
+        c -= self.l
         c.setflags(write=False)
         return c
 
@@ -382,6 +384,8 @@ def load_realization(path: str) -> PotentialRealization:
             if "=" not in token:
                 raise RealizationParseError(f"bad header token {token!r}", line=1)
             key, _, val = token.partition("=")
+            if key in fields or key not in ("l", "h", "X"):
+                raise RealizationParseError(f"{'repeated' if key in fields else 'unknown'} header key {key!r}", line=1)
             try:
                 fields[key] = float(val)
             except ValueError:

@@ -29,10 +29,11 @@ certified count interval.  A realization is counted in one pass over its
 renewal segments in x-ordered blocks of a fixed sub-piece budget, so memory
 does not grow with X: the walk over the cuts (last pivot, running counts,
 and the left half of the cut between two blocks) carries from block to
-block.  A checkpoint x with K centers before it ends a block at segment
-K-1, and that block also sweeps the tail segment [x_K, x], built from the
-truncation's own grid, whose counts and one more pivot settle x; so each
-checkpoint's certificate is bit-identical to a count on that truncation.
+block.  A block is one span of base pieces.  A checkpoint x with K
+centers before it ends a block, whose span runs on to x, so its last
+segment is the tail [x_K, x] on the truncation's own grid; the tail's
+counts and one more pivot settle x, and each checkpoint's certificate is
+bit-identical to a count on that truncation.
 An independent finite-difference inertia count cross-checks the
 oscillation counter.
 """
@@ -538,16 +539,17 @@ _BLOCK_PIECES = 1 << 15  # sub-pieces per streamed block: time flat from 2^14 to
 
 
 def _span(real: PotentialRealization, j0: int, x: float):
-    """Base pieces of [p_j0, x] on the grid of ``real.truncate(x)``: ``(starts, lengths, values, firsts)``.
+    """Base pieces of [p_j0, x] on the grid of ``real.truncate(x)``: ``(starts, lengths, values, seg_idx)``.
 
     p_0 = 0 and p_j is center j-1.  The grid cuts at bump edges, bump
     centers and the ends, so the renewal partition aligns with base pieces
-    (``firsts`` holds each segment's first piece); interval sums and the
-    whole-domain count then share one envelope grid, which makes the
-    two-sided comparison exact rather than merely statistical.  Only the
-    bumps near the span enter, and only those the truncation keeps (up to
-    the first with center >= x - l), so each piece has the bits the
-    truncation's own grid gives it.
+    (segment k is pieces ``seg_idx[k]:seg_idx[k+1]``, the last one ending at
+    x); interval sums and the whole-domain count then share one envelope
+    grid, which makes the two-sided comparison exact rather than merely
+    statistical.  Only the bumps near the span enter, and only those the
+    truncation keeps (up to the first with center >= x - l), so each piece
+    has the bits the truncation's own grid gives it, and a span equals the
+    two it splits into at any center inside it.
     """
     c, l = real.centers, real.l
     near = c[max(j0 - 2, 0):int(np.searchsorted(c, x - l, side="left")) + 1]
@@ -560,7 +562,7 @@ def _span(real: PotentialRealization, j0: int, x: float):
     mids = 0.5 * (edges[:-1] + edges[1:])
     idx = np.searchsorted(lefts, mids, side="right") - 1  # the last bump starting at or before each mid
     values = np.where((idx >= 0) & (mids <= rights[idx]), real.h, 0.0)
-    return edges[:-1], np.diff(edges), values, np.searchsorted(edges, np.concatenate([[lo], inside]))
+    return edges[:-1], np.diff(edges), values, np.searchsorted(edges, np.concatenate([[lo], inside, [x]]))
 
 
 def _subdivide(starts, base_len, values, seg_idx, pert: Perturbation, s: int):
@@ -585,29 +587,12 @@ def _subdivide(starts, base_len, values, seg_idx, pert: Perturbation, s: int):
     return blen / denom, (vrep - w_right, vrep - w_left), csub[seg_idx]  # W(right) <= W <= W(left)
 
 
-def _block(real: PotentialRealization, spans, pert: Perturbation, s: int, grid: dict):
-    """``_sweep``'s arguments for the spans ``(j0, x)`` of ``_span``, one after another.
-
-    ``grid`` keeps the base pieces of the last block built, so a domain that
-    fits in one block builds its base grid once for all levels.
-    """
-    key = tuple(spans)
-    if key not in grid:
-        parts = [_span(real, j0, x) for j0, x in spans]
-        starts, base_len, values = (np.concatenate([p[i] for p in parts]) for i in range(3))
-        offsets = itertools.accumulate((len(p[0]) for p in parts), initial=0)
-        seg_idx = np.concatenate([p[3] + o for p, o in zip(parts, offsets)] + [[len(starts)]])
-        grid.clear()
-        grid[key] = starts, base_len, values, seg_idx
-    return _subdivide(*grid[key], pert, s)
-
-
 def _narrow(a: np.ndarray) -> np.ndarray:
     """Nonnegative counts in the smallest unsigned dtype that holds them; others stay for IntervalCounts to reject."""
     return a.astype(np.min_scalar_type(a.max(initial=0))) if a.min(initial=0) >= 0 else a
 
 
-def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bool, bc: str, grid: dict):
+def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bool, bc: str):
     """``(whole-domain counts, D sums, N sums, per-interval counts)`` at each checkpoint of ``xs`` on level ``s``.
 
     Checkpoint x (``xs`` increase) with K centers before it is segments
@@ -615,13 +600,13 @@ def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bo
     plus its tail [p_K, x].  One pass streams segments 0..K-1 of the last
     checkpoint in x-ordered blocks of at most ``_BLOCK_PIECES`` sub-pieces
     (by the level's bound of one well and two barriers per segment),
-    carrying the ``_Walk`` and the running sums from block to block.  Each
-    checkpoint's K ends a block, which also sweeps the tail, built from the
-    truncation's own grid; right after the block is fed, the tail settles
-    its checkpoint with one more pivot and its own counts.  The counts per
-    envelope are (shallow, deep); only ``whole`` runs the walk, and only its
-    absence keeps the per-interval counts.  ``grid`` is ``_block``'s, passed
-    from level to level.
+    carrying the ``_Walk`` and the running sums from block to block.  A
+    block is one ``_span`` of segments j0..j1-1, to center j1-1 or, when
+    j1 is a checkpoint's K, on to x, so that its last segment is the tail;
+    right after that block is fed, the tail settles its checkpoint with one
+    more pivot and its own counts.  The counts per envelope are (shallow,
+    deep); only ``whole`` runs the walk, and only its absence keeps the
+    per-interval counts.
     """
     c = real.centers
     per = max(1, _BLOCK_PIECES // (s + 2 * max(1, s // _BUMP_SUBDIV_RATIO)))
@@ -631,8 +616,7 @@ def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bo
         while True:
             j1 = min(j0 + per, k)
             m = j1 - j0
-            spans = ([(j0, c[j1 - 1])] if m else []) + ([(k, x)] if j1 == k else [])
-            sweep = _sweep(*_block(real, spans, pert, s, grid))
+            sweep = _sweep(*_subdivide(*_span(real, j0, x if j1 == k else c[j1 - 1]), pert, s))
             d, n = _segment_counts(sweep)
             if whole and m:
                 walk.feed(_terms([a[..., :m] for a in sweep], lead if j0 == 0 else None, None))
@@ -666,10 +650,10 @@ def _certificates(real: PotentialRealization, pert: Perturbation, xs, refine: in
     """
     if refine < 1:
         raise ValueError("refinement budget must be >= 1")
-    done, grid, s = {}, {}, min(4, refine)
+    done, s = {}, min(4, refine)
     while len(done) < len(xs):
         pending = [i for i in range(len(xs)) if i not in done]
-        tallies = _level(real, pert, [xs[i] for i in pending], s, whole, bc, grid)
+        tallies = _level(real, pert, [xs[i] for i in pending], s, whole, bc)
         for i, (counts, d, n, per_interval) in zip(pending, tallies):
             slack = counts[1] - counts[0] if whole else d[1] - d[0]
             if slack <= 1 or s >= refine:

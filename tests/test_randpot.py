@@ -359,3 +359,9 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("l=0.5 h=1.0 X=2.0\n1.0\nnot-a-number\n")
     with pytest.raises(RealizationParseError, match="line 3"):
         load_realization(str(path))
+    # a repeated key would let the last one win, and an unknown one would be dropped unread
+    for header, match in (("l=0.25 h=100 X=50 X=60", "line 1: repeated header key 'X'"),
+                          ("l=0.25 h=100 X=50 seed=7", "line 1: unknown header key 'seed'")):
+        path.write_text(header + "\n1.0\n")
+        with pytest.raises(RealizationParseError, match=match):
+            load_realization(str(path))

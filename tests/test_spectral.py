@@ -32,8 +32,8 @@ from randkp import (
     well_ground_state,
 )
 from randkp.spectral import (
-    IntervalCounts, NumericalError, _block, _certificates, _domain_count, _edge_matching, _negative_pivots, _pivots,
-    _piece_coefficients, _segment_counts, _sweep,
+    IntervalCounts, NumericalError, _certificates, _domain_count, _edge_matching, _negative_pivots, _pivots,
+    _piece_coefficients, _segment_counts, _span, _subdivide, _sweep,
 )
 
 from prufer_oracle import propagate_count
@@ -50,7 +50,7 @@ def levels(real, pert, refine):
     """Each refinement level of the whole of [0, X] as one block, in ``_sweep``'s argument shape."""
     s = min(4, refine)
     while True:
-        yield _block(real, [(0, real.X)], pert, s, {})
+        yield _subdivide(*_span(real, 0, real.X), pert, s)
         if s >= refine:
             return
         s = min(2 * s, refine)
@@ -657,6 +657,44 @@ def test_block_size_leaves_every_certificate_unchanged(gaps, l, shares, refine, 
     for cert, n_d, n_n in runs[2][2]:
         assert (n_d, n_n) == (cert.n_lo, cert.n_hi) == (sum(d for _, d, _ in cert.per_interval),
                                                        sum(n for _, _, n in cert.per_interval))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=2, max_size=30),
+    l=st.sampled_from([0.05, 0.25, 0.5]),
+    i=st.integers(0, 29),
+    where=st.sampled_from(["center", "bump", "gap", "reach"]),
+    t=st.floats(0.0, 1.0),
+    j0_share=st.floats(0.0, 1.0),
+    k_share=st.floats(0.0, 1.0),
+)
+# every gap zero, x at center 4, and K = j0 = 2
+@example(gaps=[0.0] * 8, l=0.5, i=4, where="center", t=0.0, j0_share=0.4, k_share=0.0)
+# x inside bump 3, left of its center, with K = 3 and the span from 0
+@example(gaps=[0.0, 1.5, 0.0, 2.0, 1.0], l=0.25, i=3, where="bump", t=0.2, j0_share=0.0, k_share=1.0)
+def test_span_equals_its_two_halves_at_any_center(gaps, l, i, where, t, j0_share, k_share):
+    # a streamed block is one span from p_j0 to x; it must equal the span to center K-1
+    # followed by the span from it to x, with the second's segment starts offset, bit for bit
+    reach = float(np.sum(gaps)) + 2.0 * l * len(gaps)
+    real = build_realization(gaps, l=l, h=100.0, X=reach)
+    c = real.centers
+    i = min(i, len(c) - 1)
+    x = {"center": float(c[i]), "bump": float(c[i]) + (2.0 * t - 1.0) * l,
+         "gap": float(c[i]) + l + t * (gaps[i + 1] if i + 1 < len(gaps) else 0.0), "reach": reach}[where]
+    if not 0.0 < x <= reach:
+        return
+    k = int(np.searchsorted(c, x, side="left"))
+    j0 = min(int(j0_share * (k + 1)), k)
+    K = min(j0 + int(k_share * (k - j0 + 1)), k)
+    whole = _span(real, j0, x)
+    parts = ([_span(real, j0, c[K - 1])] if K > j0 else []) + [_span(real, K, x)]
+    starts, lengths, values = (np.concatenate([p[f] for p in parts]) for f in range(3))
+    offset = len(parts[0][0]) if K > j0 else 0
+    seg_idx = np.concatenate([parts[0][3][:-1], parts[-1][3] + offset]) if K > j0 else parts[0][3]
+    for got, want in zip(whole, (starts, lengths, values, seg_idx)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(whole[3]) == k - j0 + 2 and whole[3][-1] == len(whole[0])
 
 
 def _trial_to(X):
