@@ -105,6 +105,8 @@ def _parse_tokens(tokens: Sequence[str]) -> Dict[str, str]:
         key, _, val = tok.partition("=")
         if not key:
             raise UsageError(f"empty key in {tok!r}")
+        if key in out:
+            raise UsageError(f"key '{key}' given twice")
         out[key] = val
     return out
 

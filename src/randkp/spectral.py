@@ -21,7 +21,9 @@ Dirichlet-to-Neumann map (1/m12)*[[m11, -1], [-1, m22]] (Dirichlet
 decoupling plus Haynsworth inertia additivity).  At a stiff barrier the
 coupling -1/m12 underflows to 0, the decoupled limit.  neg(S) counts the
 negative LDL^T pivots; an exactly zero pivot counts as nonnegative, so a
-zero eigenvalue is excluded as the strict count requires.
+zero eigenvalue is excluded as the strict count requires.  The pivots
+settle in vectorized rounds, a fixed point of the recurrence compared
+exactly, so they are the scalar loop's to the bit.
 
 Non-constant envelopes W(x) are handled by monotone piecewise-constant
 upper/lower approximations on a refined sub-piece grid, which yields a
@@ -43,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,11 +125,13 @@ class IntervalCounts:
     dtype: str
 
     @classmethod
-    def from_arrays(cls, d: np.ndarray, n: np.ndarray) -> IntervalCounts:
-        if min(np.min(d, initial=0), np.min(n, initial=0)) < 0:  # the unsigned cast would wrap it
+    def from_arrays(cls, d: Sequence[np.ndarray], n: Sequence[np.ndarray]) -> IntervalCounts:
+        """The counts from consecutive parts of the D and N arrays; each part is copied once, into the bytes."""
+        if min((np.min(a, initial=0) for a in (*d, *n)), default=0) < 0:  # the unsigned cast would wrap it
             raise ValueError("interval counts must be nonnegative")
-        dtype = np.min_scalar_type(max(np.max(d, initial=0), np.max(n, initial=0)))
-        return cls(d.astype(dtype).tobytes(), n.astype(dtype).tobytes(), dtype.str)
+        dtype = np.min_scalar_type(max((np.max(a, initial=0) for a in (*d, *n)), default=0))
+        d, n = (b"".join(a.astype(dtype, copy=False).tobytes() for a in parts) for parts in (d, n))
+        return cls(d, n, dtype.str)
 
     def __iter__(self) -> Iterator[Tuple[int, int, int]]:
         d, n = (np.frombuffer(b, self.dtype).tolist() for b in (self.d, self.n))
@@ -284,7 +288,7 @@ def _sweep(lengths, envelopes, seg_idx):
         raise NumericalError(f"{zeros.sum():.3g} zeros: too many to count exactly")
     back = np.empty_like(order)
     back[order] = np.arange(len(order))
-    return tuple(a[..., back] for a in (zeros, u, du, g, kd))
+    return tuple(np.take(a, back, axis=-1) for a in (zeros, u, du, g, kd))
 
 
 def _end_rule(zeros, u, du, bc: str):
@@ -324,6 +328,46 @@ def _pivots(diag, b2, neg: int = 0, d: float = math.inf):
         elif d == 0.0:
             d = math.ulp(0.0)
     return neg, d
+
+
+_ROUND_ROWS = 384  # fewer unsettled rows go through _pivots: below it, 4 rounds cost more than the loop
+_ROUNDS = 12  # benchmark realizations' cuts settle in 3-12 rounds; strongly coupled rows settle one a round
+
+
+def _settle(diag, b2, negs, ds):
+    """``_pivots`` on each row of ``diag``/``b2``, from that row's ``(neg, d)`` in ``negs``/``ds``: a list of ``(neg, d)``.
+
+    The leading pivots settle in vectorized rounds over all rows at once.  A
+    round recomputes every pivot from the last round's pivot before it (the
+    start pivot for the first), with ``_pivots``' zero rule.  When a round
+    reproduces the last round's first k pivots exactly, those were exact, so
+    its first k + 1 are the scalar loop's own, bit for bit: each round
+    settles at least one more pivot, and weakly coupled rows (cuts between
+    segments, coupled by exp(-kappa*len)) settle in a few rounds.  A NaN
+    never compares equal, so no pivot after one settles.  Rounds run while
+    at least ``_ROUND_ROWS`` pivots of a row are unsettled, at most
+    ``_ROUNDS`` times; ``_pivots`` continues each row from its first
+    unsettled pivot, so a short row never enters a round.
+    """
+    n = diag.shape[1]
+    if n < _ROUND_ROWS:
+        return [_pivots(*args) for args in zip(diag.tolist(), b2.tolist(), negs, ds)]
+    cur, prev = diag, np.empty_like(diag)
+    prev[:, 0] = ds
+    with np.errstate(all="ignore"):
+        for _ in range(_ROUNDS):
+            prev[:, 1:] = cur[:, :-1]
+            new = diag - b2 / prev
+            if not new.all():
+                new[new == 0.0] = math.ulp(0.0)
+            agree = new == cur
+            cur = new
+            settled = np.where(agree.all(axis=1), n, agree.argmin(axis=1) + 1)
+            if n - settled.min() < _ROUND_ROWS:
+                break
+    return [_pivots(diag[e, k:].tolist(), b2[e, k:].tolist(),
+                    negs[e] + int(np.count_nonzero(cur[e, :k] < 0.0)), float(cur[e, k - 1]))
+            for e, k in enumerate(settled.tolist())]
 
 
 def _terms(sweep, lead: Optional[int], end: Optional[str]):
@@ -368,22 +412,29 @@ class _Walk:
     S on the cuts between them, the last pivot, and the left half and squared
     coupling that the last segment gives the next cut.  By Sylvester's law
     the sum of the first two is the count with a Dirichlet cut at the last
-    segment's end.
+    segment's end.  Each block's pivots settle in vectorized rounds that
+    give the scalar loop's pivots bit for bit (``_settle``), so a long
+    block takes a few numpy passes, not a Python step per cut.
     """
 
     def __init__(self, envelopes: int):
         self.state = [(0, 0, math.inf, 0.0, 0.0)] * envelopes
 
     def feed(self, terms):
-        """Take the next segments (``_terms`` with no end) into ``state``."""
+        """Take the next segments (``_terms`` with no end) into ``state``.
+
+        Row i of S here is the cut before segment i: the left half and the
+        coupling that the segment before it gives (carried in ``state`` for
+        the first) and segment i's right half.  ``_settle`` factors the rows
+        of both envelopes at once.
+        """
         cut, left, right, b2 = terms
-        n_cuts = cut.sum(axis=1).tolist()
-        left0s, b0s = (np.array([[s[f]] for s in self.state]) for f in (3, 4))  # carried from the last segment
-        diags = (np.concatenate([left0s, left[:, :-1]], axis=1) + right).tolist()  # the cut before each segment
-        b2ss = np.concatenate([b0s, b2], axis=1).tolist()
-        for e, ((n_cut, neg, d, _, _), diag, b2s) in enumerate(zip(self.state, diags, b2ss)):
-            neg, d = _pivots(diag, b2s, neg, d)
-            self.state[e] = (n_cut + n_cuts[e], neg, d, float(left[e, -1]), b2s[-1])
+        n_cut, neg, d, left0, b0 = zip(*self.state)
+        diag = np.concatenate([np.array(left0)[:, None], left[:, :-1]], axis=1) + right
+        b2s = np.concatenate([np.array(b0)[:, None], b2[:, :-1]], axis=1)
+        pivots = _settle(diag, b2s, neg, d)
+        self.state = [(c + k, *p, lt, bt) for c, k, p, lt, bt in
+                      zip(n_cut, cut.sum(axis=1).tolist(), pivots, left[:, -1].tolist(), b2[:, -1].tolist())]
 
     def close(self, terms):
         """Per-envelope counts of the domain that ends with the segment of ``terms`` (``end`` set) after ``state``."""
@@ -630,7 +681,7 @@ def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bo
         dn = (sums + np.concatenate([d[:, m], n[:, m]])).tolist()
         counts = walk.close(_terms([a[..., m:] for a in sweep], lead if k == 0 else None, bc)) if whole else None
         per_interval = None if whole else IntervalCounts.from_arrays(
-            np.concatenate([*(q[0] for q in parts), d0[m:]]), np.concatenate([*(q[1] for q in parts), n1[m:]]))
+            [*(q[0] for q in parts), d0[m:]], [*(q[1] for q in parts), n1[m:]])
         out.append((counts, dn[:2], dn[2:], per_interval))
     return out
 

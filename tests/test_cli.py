@@ -114,6 +114,21 @@ def test_unknown_key_rejected(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("args, config", [
+    (["h=1", "h=4", "l=inf", "Ls=1"], None),
+    (["config={cfg}", "Ls=1"], "h=1\nl=inf h=4\n"),
+    (["config={cfg}", "config={cfg}", "Ls=1"], "h=1 l=inf\n"),
+], ids=["command-line", "config-file", "config-twice"])
+def test_repeated_key_is_a_usage_error(tmp_path, capsys, args, config):
+    # a repeated key names the key instead of running with its last value
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    code, out, err = run(capsys, "well", *(a.format(cfg=cfg) for a in args))
+    named = "config" if args.count("config={cfg}") > 1 else "h"
+    assert code == 2 and out == "" and f"key '{named}' given twice" in err
+
+
 def test_unknown_dist_rejected(capsys):
     code, _, err = run(capsys, "generate", "dist=cauchy", "l=0.5", "h=1", "X=10", "seed=1")
     assert code == 2

@@ -547,6 +547,52 @@ def test_exact_zero_pivot_is_not_negative():
     assert count_negative_exact(PiecewisePotential(np.array([0.0, 1.0, 6.0, 7.0]), np.zeros(3)), "N", "N").n_lo == 0
 
 
+def pivot_row(rng, kind, n):
+    """One row of ``_settle``'s input: ``(diag, b2)`` of length n, weakly coupled unless ``kind`` says otherwise."""
+    diag = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
+    b2 = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-30.0, 0.0, size=n)
+    if not n:
+        return diag, b2
+    if kind == "zeros":  # exactly zero pivots at the first, a middle and the last row
+        diag[[0, n // 2, n - 1]] = b2[[0, n // 2, n - 1]] = 0.0
+    elif kind == "nonfinite":
+        diag[rng.integers(n)] = rng.choice([math.nan, math.inf, -math.inf])
+    elif kind == "couplings":  # none, subnormal, and a coupling past every diagonal
+        b2 = rng.choice([0.0, 5e-324, 1e-310, 1e300], size=n)
+    elif kind == "chain":  # FD-like: every pivot depends on all the rows before it, so a round settles about one
+        diag, b2 = np.full(n, 2.0), np.ones(n)
+    elif kind == "coupled":
+        diag, b2 = 2.0 + 0.5 * rng.random(n), np.ones(n)
+    return diag, b2
+
+
+def pivot_key(neg, d):
+    """A ``(neg, d)`` pair compared bit for bit, with every NaN alike."""
+    return neg, ("nan" if math.isnan(d) else np.float64(d).tobytes())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["weak", "zeros", "nonfinite", "couplings", "chain", "coupled"])] * 2),
+    n=st.sampled_from([0, 1, 2, 3, 50, 400, 1000]),
+    starts=st.tuples(*[st.sampled_from([math.inf, 1.0, -1.0, 1e-300])] * 2),
+    round_rows=st.sampled_from([1, spectral._ROUND_ROWS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_settled_pivots_equal_the_scalar_loop(kinds, n, starts, round_rows, seed):
+    # two envelopes of rows, each of its own kind, so they settle in different rounds (the chains
+    # never within the cap, so _pivots continues them); the counts and the last pivot's bits must
+    # be the scalar loop's, from the starts (neg, d) as the walk carries them
+    rng = np.random.default_rng(seed)
+    diag, b2 = (np.array(a) for a in zip(*(pivot_row(rng, kind, n) for kind in kinds)))
+    negs = (0, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_ROUND_ROWS", round_rows)
+        got = spectral._settle(diag, b2, negs, starts)
+    expected = [_pivots(diag[e].tolist(), b2[e].tolist(), negs[e], starts[e]) for e in range(2)]
+    assert [pivot_key(*p) for p in got] == [pivot_key(*p) for p in expected]
+
+
 def well_then_barrier(ts, width):
     """One segment per t: q = -1 on a length t, then q = w**2 on width/w, with w = -u'/u of the
     Neumann column leaving the well as ``_sweep`` normalizes it, so that column enters the
@@ -744,20 +790,35 @@ def test_per_interval_counts_are_an_immutable_int_sequence():
     assert sum(d for _, d, _ in per) == cert.n_lo and sum(n for _, _, n in per) == cert.n_hi
     # smallest unsigned dtype holding the largest count
     assert np.dtype(per.dtype) == np.uint8
-    wide = IntervalCounts.from_arrays(np.array([0, 300]), np.array([1, 70000]))
+    wide = IntervalCounts.from_arrays([np.array([0, 300])], [np.array([1, 70000])])
     assert np.dtype(wide.dtype) == np.uint32 and list(wide) == [(0, 0, 1), (1, 300, 70000)]
     with pytest.raises(ValueError):
-        IntervalCounts.from_arrays(np.array([-1]), np.array([0]))
+        IntervalCounts.from_arrays([np.array([-1])], [np.array([0])])
     # equal to a copy, with the same hash; unequal to other counts
     d, n = (np.array([c[i] for c in triples]) for i in (1, 2))
-    copy = IntervalCounts.from_arrays(d, n.astype(np.int32))
+    copy = IntervalCounts.from_arrays([d], [n.astype(np.int32)])
     assert copy == per and hash(copy) == hash(per)
-    assert per != IntervalCounts.from_arrays(d, n + 1) and per != triples
+    assert per != IntervalCounts.from_arrays([d], [n + 1]) and per != triples
     # run_experiment ships certificates between processes
     back = pickle.loads(pickle.dumps(cert))
     assert back == cert and hash(back) == hash(cert) and list(back.per_interval) == triples
     with pytest.raises(dataclasses.FrozenInstanceError):
         per.d = b""
+
+
+def test_per_interval_parts_join_as_one_array():
+    # parts narrowed block by block (uint8 and uint16 here) join to the bytes and dtype of the
+    # concatenated counts cast once, and a negative count in any part is still rejected
+    d = [np.array([3, 0], np.uint8), np.array([300, 1], np.uint16), np.array([], np.uint8), np.array([7], np.uint8)]
+    n = [np.array([4, 2], np.uint8), np.array([301, 9], np.uint16), np.array([], np.uint8), np.array([255], np.uint8)]
+    got = IntervalCounts.from_arrays(d, n)
+    d_all, n_all = np.concatenate(d), np.concatenate(n)
+    dtype = np.min_scalar_type(max(d_all.max(), n_all.max()))
+    assert got == IntervalCounts(d_all.astype(dtype).tobytes(), n_all.astype(dtype).tobytes(), dtype.str)
+    assert np.dtype(got.dtype) == np.uint16 and list(got)[2] == (2, 300, 301)
+    assert IntervalCounts.from_arrays(d[:1], n[:1]).dtype == np.dtype(np.uint8).str
+    with pytest.raises(ValueError):
+        IntervalCounts.from_arrays(d, [*n[:3], np.array([-1], np.int64)])
 
 
 # ---------------------------------------------------------------------------
