@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,8 +110,19 @@ class PiecewisePotential:
         return np.diff(self.breakpoints)
 
     def evaluate(self, x) -> np.ndarray:
-        """Value of the piece containing x (right-continuous at breakpoints)."""
-        return self.values[np.searchsorted(self.breakpoints[1:-1], np.asarray(x, dtype=float), side="right")]
+        """Value of the piece containing x (right-continuous at breakpoints, held past either end).
+
+        A sorted 1-D ``x``, such as a grid, takes one search of the interior
+        breakpoints into ``x`` and one repeat of the values; other input
+        searches the breakpoints once per point.  NaN is a ValueError.
+        """
+        x, inner = np.asarray(x, dtype=float), self.breakpoints[1:-1]
+        if x.ndim == 1 and (x[1:] >= x[:-1]).all() and not np.isnan(x[:1]).any():  # NaN fails the >= pairs
+            ends = np.searchsorted(x, inner, side="left")  # piece j takes the points in [bp[j], bp[j+1])
+            return np.repeat(self.values, np.diff(ends, prepend=0, append=len(x)))
+        if np.isnan(x).any():
+            raise ValueError("cannot evaluate the potential at x=nan")
+        return self.values[np.searchsorted(inner, x, side="right")]
 
 
 @dataclass(frozen=True)
@@ -479,66 +490,127 @@ def count_negative_exact(
 
 
 _FD_BLOCK = 128  # rows per block: 2.9 ms per 2e5 rows, as at 64; 3.8 ms at 256
+_FD_CHUNK = 1 << 16  # rows per chunk, a multiple of _FD_BLOCK: 2^14 runs the block loops 4x as often, 2^17 page-faults
 _FD_JUNCTION_TOL = 2.0 ** -26  # trusted start error, as a share of the pivot's terms: 4e-15 typical, 1e-9 worst seen
+
+
+def _stream_pivots(chunks: Iterable[np.ndarray], b2: float) -> int:
+    """Negative LDL^T pivots of the symmetric tridiagonal matrix with diagonal ``chunks``, joined, and squared coupling ``b2``.
+
+    Every chunk but the last holds a multiple of ``_FD_BLOCK`` rows, cut
+    into blocks of ``_FD_BLOCK``.  Pass 1 composes each block's Mobius map
+    d -> a - b2/d as a product of 2x2 matrices, all blocks of a chunk at
+    once.  It works in eta = d/c - 1 with c = sqrt(b2), where a row is
+    [[1 + z, z], [1, 1]] with z = a/c - 2: an FD row has z near 0, and there
+    the plain [[a, -b2], [1, 0]] products would cancel to a few digits.  The
+    products are rescaled by powers of 2 before they could overflow.  Pass 2
+    chains the maps in one scalar pass for each block's start pivot (the
+    matrix's first block starts at inf).  Pass 3 runs the recurrence of
+    ``_pivots``, with its zero rule, in every block of the chunk at once from
+    those starts.  A start that differs from the end pivot of the block
+    before it in sign, or by more than ``_FD_JUNCTION_TOL`` of the terms of
+    that pivot, is not trusted: from that block on, as after the last full
+    block, the rows go through ``_pivots``.  From chunk to chunk the walk
+    carries the count, the last pivot and its terms, the chained eta and
+    whether the rows have left the blocks.  Only the rescaling cadence is
+    set per chunk, and scaling by powers of 2 leaves the maps as they are
+    (short of entries below the normal range), so the starts, the pivots and
+    the count do not depend on where the chunks end.
+    """
+    neg, d, terms, eta, blocked = 0, math.inf, 0.0, math.inf, 0.0 < b2 < math.inf
+    c = math.sqrt(b2) if blocked else 0.0
+    for diag in chunks:
+        nb, done = (len(diag) // _FD_BLOCK if blocked else 0), 0
+        if nb:
+            with np.errstate(all="ignore"):
+                rows = np.ascontiguousarray(diag[: nb * _FD_BLOCK].reshape(nb, _FD_BLOCK).T)  # rows[j]: row j of each block
+                zeta = rows / c - 2.0
+                every = max(1, int(500.0 // math.log2(2.0 * max(zeta.max(), -zeta.min()) + 6.0)))  # entries < 2**500
+                top, bot = np.zeros((2, nb)), np.zeros((2, nb))
+                top[0] = bot[1] = 1.0
+                for j, z in enumerate(zeta, 1):
+                    bot += top
+                    top += z * bot
+                    if j % every == 0:
+                        scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(top), abs(bot)).max(axis=0))[1])
+                        top *= scale
+                        bot *= scale
+                del zeta, z  # freed for piv
+                (m00, m01), (m10, m11) = top, bot
+                maps = zip(*(a.tolist() for a in (m00 / m10, (m01 * m10 - m00 * m11) / (m10 * m10), m11 / m10)))
+                etas = []
+                for p, q, r in maps:  # eta -> p + q/(eta + r)
+                    etas.append(eta)
+                    t = eta + r
+                    eta = p + q / t if t else math.inf
+                # a start of 0 acts as ulp(0) would: b2/0 and b2/ulp(0) are both inf once b2 > 1e-15
+                start = prev = c * (1.0 + np.array(etas))
+                piv = np.empty_like(rows)
+                for a, p in zip(rows, piv):
+                    np.subtract(a, b2 / prev, out=p)
+                    if not p.all():
+                        p[p == 0.0] = math.ulp(0.0)
+                    prev = p
+                # block i's start continues end[i], whose terms are size[i]: the carried pivot, then each block's last
+                end = np.concatenate([[d], piv[-1]])
+                size = np.concatenate([[terms], np.abs(rows[-1]) + np.abs(b2 / piv[-2])])
+                gap = abs(end[:-1] - start)
+                trusted = (end[:-1] == start) | (((end[:-1] < 0.0) == (start < 0.0)) & (gap <= _FD_JUNCTION_TOL * size[:-1]))
+                done = nb if trusted.all() else int(np.argmin(trusted))
+                neg += int(np.count_nonzero(piv[:, :done] < 0.0))
+                d, terms = float(end[done]), float(size[done])
+        blocked = done * _FD_BLOCK == len(diag)  # else the rest of the rows, and all after them, go one by one
+        neg, d = _pivots(diag[done * _FD_BLOCK:].tolist(), itertools.repeat(b2), neg, d)
+    if math.isnan(d):
+        raise NumericalError("finite-difference factorization produced NaN")
+    return neg
 
 
 def _negative_pivots(diag: np.ndarray, b2: float) -> int:
     """Negative LDL^T pivots of the symmetric tridiagonal matrix with diagonal ``diag`` and squared coupling ``b2``.
 
-    The rows are cut into blocks of ``_FD_BLOCK``.  Pass 1 composes each
-    block's Mobius map d -> a - b2/d as a product of 2x2 matrices, all blocks
-    at once.  It works in eta = d/c - 1 with c = sqrt(b2), where a row is
-    [[1 + z, z], [1, 1]] with z = a/c - 2: an FD row has z near 0, and there
-    the plain [[a, -b2], [1, 0]] products would cancel to a few digits.  The
-    products are rescaled before they could overflow.  Pass 2 chains the maps
-    in one scalar pass for each block's start pivot (block 0 starts at inf).
-    Pass 3 runs the recurrence of ``_pivots``, with its zero rule, in every
-    block at once from those starts.  A start that differs from the end pivot
-    of the block before it in sign, or by more than ``_FD_JUNCTION_TOL`` of
-    the terms of that pivot, is not trusted: from that block on, as after the
-    last full block, the rows go through ``_pivots``.
+    ``diag`` goes through ``_stream_pivots`` in chunks of ``_FD_CHUNK`` rows,
+    as the rows of ``fd_inertia_count`` do.
     """
-    nb = len(diag) // _FD_BLOCK if 0.0 < b2 < math.inf else 0
-    neg, d, done = 0, math.inf, 0
-    if nb:
-        with np.errstate(all="ignore"):
-            rows = np.ascontiguousarray(diag[: nb * _FD_BLOCK].reshape(nb, _FD_BLOCK).T)  # rows[j]: row j of each block
-            c = math.sqrt(b2)
-            zeta = rows / c - 2.0
-            every = max(1, int(500.0 // math.log2(2.0 * max(zeta.max(), -zeta.min()) + 6.0)))  # entries < 2**500
-            top, bot = np.zeros((2, nb)), np.zeros((2, nb))
-            top[0] = bot[1] = 1.0
-            for j, z in enumerate(zeta, 1):
-                bot += top
-                top += z * bot
-                if j % every == 0:
-                    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(top), abs(bot)).max(axis=0))[1])
-                    top *= scale
-                    bot *= scale
-            (m00, m01), (m10, m11) = top, bot
-            maps = zip(*(a.tolist() for a in (m00 / m10, (m01 * m10 - m00 * m11) / (m10 * m10), m11 / m10)))
-            eta, etas = math.inf, []
-            for p, q, r in maps:  # eta -> p + q/(eta + r)
-                etas.append(eta)
-                t = eta + r
-                eta = p + q / t if t else math.inf
-            # a start of 0 acts as ulp(0) would: b2/0 and b2/ulp(0) are both inf once b2 > 1e-15
-            d = starts = c * (1.0 + np.array(etas))
-            piv = np.empty_like(rows)
-            for a, p in zip(rows, piv):
-                np.subtract(a, b2 / d, out=p)
-                if not p.all():
-                    p[p == 0.0] = math.ulp(0.0)
-                d = p
-            end, start = piv[-1, :-1], starts[1:]
-            terms = np.abs(rows[-1, :-1]) + np.abs(b2 / piv[-2, :-1])
-            trusted = (end == start) | (((end < 0.0) == (start < 0.0)) & (abs(end - start) <= _FD_JUNCTION_TOL * terms))
-            done = nb if trusted.all() else int(np.argmin(trusted)) + 1
-            neg, d = int(np.count_nonzero(piv[:, :done] < 0.0)), float(piv[-1, done - 1])
-    neg, d = _pivots(diag[done * _FD_BLOCK:].tolist(), itertools.repeat(b2), neg, d)
-    if math.isnan(d):
-        raise NumericalError("finite-difference factorization produced NaN")
-    return neg
+    return _stream_pivots((diag[i:i + _FD_CHUNK] for i in range(0, len(diag), _FD_CHUNK)), b2)
+
+
+def _grid(X: float, n: int, i0: int, i1: int) -> np.ndarray:
+    """Points ``i0:i1`` of ``np.linspace(0.0, X, n)``, bit for bit: i*step, (i/(n-1))*X where step underflows, X last."""
+    x = np.arange(i0, i1, dtype=float)
+    step = X / (n - 1)
+    if step:
+        x *= step
+    else:
+        x /= n - 1
+        x *= X
+    if i1 == n:
+        x[-1] = X
+    return x
+
+
+def _fd_diagonal(q_eval: Callable[[np.ndarray], np.ndarray], X: float, n: int, inv2: float, bc: str):
+    """The FD matrix's diagonal on the grid of ``n`` points, in chunks of ``_FD_CHUNK`` rows: one ``q_eval`` call each.
+
+    Row r is grid point r + 1 with Dirichlet ends and point r with Neumann
+    ends.  A chunk at either end of the grid also takes the end point, so
+    ``q_eval`` sees every grid point once.
+    """
+    off = 1 if bc == "D" else 0
+    rows = n - 2 * off
+    for r0 in range(0, rows, _FD_CHUNK):
+        r1 = min(r0 + _FD_CHUNK, rows)
+        p0, p1 = (0 if r0 == 0 else r0 + off), (n if r1 == rows else r1 + off)
+        qs = np.asarray(q_eval(_grid(X, n, p0, p1)), dtype=float)
+        if qs.shape != (p1 - p0,) or not np.all(np.isfinite(qs)):
+            raise ValueError("q_eval must return finite values on the grid")
+        diag = 2.0 * inv2 + qs[r0 + off - p0:r1 + off - p0]
+        if bc == "N" and r0 == 0:
+            diag[0] = inv2 + 0.5 * qs[0]
+        if bc == "N" and r1 == rows:
+            diag[-1] = inv2 + 0.5 * qs[-1]
+        del qs  # freed before the walk allocates its own
+        yield diag
 
 
 def fd_inertia_count(
@@ -561,25 +633,25 @@ def fd_inertia_count(
     argument); a start that disagrees with the block before it falls back to
     the row-by-row loop.  An exactly zero pivot counts as nonnegative and
     becomes ulp(0), in the blocks as in the loop, so a zero eigenvalue is not
-    counted.  At mesh 2e5 the count takes about 15 ns per mesh point and the
-    whole call about 38 ns (90 ns row by row; 2 vCPUs, Xeon, numpy 2.4).
+    counted.  The matrix is built and walked in chunks of ``_FD_CHUNK`` rows
+    (``_stream_pivots``), each with its own grid points, those of
+    ``np.linspace(0, X, n_mesh + 2)``, and its own ``q_eval`` call, so
+    ``q_eval`` is called once per chunk and no array grows with the mesh:
+    at mesh 2e6 a call holds about 3 MB, where the diagonal built whole took
+    100 MB.  At mesh 2e5 a call takes about 30 ns per mesh point, against
+    60-70 ns with the diagonal built whole and 80-110 ns for the count row
+    by row (2 vCPUs, Xeon, numpy 2.4).
     """
     _check_bc(bc)
     if n_mesh < 10:
         raise ValueError("mesh too coarse: need n_mesh >= 10")
     if not 0 < X < math.inf:
         raise ValueError(f"domain length must be finite and positive, got X={X!r}")
-    grid = np.linspace(0.0, X, n_mesh + 2)
-    qs = np.asarray(q_eval(grid), dtype=float)
-    if qs.shape != grid.shape or not np.all(np.isfinite(qs)):
-        raise ValueError("q_eval must return finite values on the grid")
+    n = n_mesh + 2
     with np.errstate(over="ignore", divide="ignore"):  # a step**-4 past the float range makes NaN pivots
-        inv2 = 1.0 / (grid[1] - grid[0]) ** 2
+        inv2 = 1.0 / _grid(X, n, 1, 2)[0] ** 2  # the step: point 1 less point 0, which is 0.0
         b2 = float(inv2 * inv2)
-    diag = 2.0 * inv2 + qs[1:-1]
-    if bc == "N":
-        diag = np.concatenate([[inv2 + 0.5 * qs[0]], diag, [inv2 + 0.5 * qs[-1]]])
-    return _negative_pivots(diag, b2)
+    return _stream_pivots(_fd_diagonal(q_eval, X, n, inv2, bc), b2)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +716,7 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 
 
 def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bool, bc: str):
-    """``(whole-domain counts, D sums, N sums, per-interval counts)`` at each checkpoint of ``xs`` on level ``s``.
+    """``(whole-domain counts, D sums, N sums, per-interval parts)`` at each checkpoint of ``xs`` on level ``s``.
 
     Checkpoint x (``xs`` increase) with K centers before it is segments
     0..K-1 of the renewal partition, which every later checkpoint shares,
@@ -657,7 +729,8 @@ def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bo
     right after that block is fed, the tail settles its checkpoint with one
     more pivot and its own counts.  The counts per envelope are (shallow,
     deep); only ``whole`` runs the walk, and only its absence keeps the
-    per-interval counts.
+    per-interval counts, as lists of D and N parts that ``_certificates``
+    joins only for the checkpoints that settle on this level.
     """
     c = real.centers
     per = max(1, _BLOCK_PIECES // (s + 2 * max(1, s // _BUMP_SUBDIV_RATIO)))
@@ -680,9 +753,8 @@ def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bo
                 break
         dn = (sums + np.concatenate([d[:, m], n[:, m]])).tolist()
         counts = walk.close(_terms([a[..., m:] for a in sweep], lead if k == 0 else None, bc)) if whole else None
-        per_interval = None if whole else IntervalCounts.from_arrays(
-            [*(q[0] for q in parts), d0[m:]], [*(q[1] for q in parts), n1[m:]])
-        out.append((counts, dn[:2], dn[2:], per_interval))
+        interval_parts = None if whole else ([*(q[0] for q in parts), d0[m:]], [*(q[1] for q in parts), n1[m:]])
+        out.append((counts, dn[:2], dn[2:], interval_parts))
     return out
 
 
@@ -705,11 +777,11 @@ def _certificates(real: PotentialRealization, pert: Perturbation, xs, refine: in
     while len(done) < len(xs):
         pending = [i for i in range(len(xs)) if i not in done]
         tallies = _level(real, pert, [xs[i] for i in pending], s, whole, bc)
-        for i, (counts, d, n, per_interval) in zip(pending, tallies):
+        for i, (counts, d, n, interval_parts) in zip(pending, tallies):
             slack = counts[1] - counts[0] if whole else d[1] - d[0]
             if slack <= 1 or s >= refine:
                 cert = (CountCertificate(*counts, converged=slack <= 1) if whole
-                        else CountCertificate(d[0], n[1], per_interval=per_interval))
+                        else CountCertificate(d[0], n[1], per_interval=IntervalCounts.from_arrays(*interval_parts)))
                 done[i] = (cert, d[0], n[1])
         s = min(2 * s, refine)
     return [done[i] for i in range(len(xs))]

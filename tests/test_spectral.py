@@ -1,5 +1,6 @@
 """Counting machinery: oscillation counter, FD inertia oracle, brackets, wells."""
 
+import contextlib
 import dataclasses
 import math
 import pickle
@@ -229,6 +230,32 @@ def test_evaluate_is_right_continuous_and_held_past_either_end():
     x = np.array([-5.0, -1.0, -0.5, 0.5, 1.0, 2.0, 6.9, 7.0, 70.0, np.nextafter(0.5, -1.0), np.nextafter(2.0, 9.0)])
     np.testing.assert_array_equal(q.evaluate(x), [3.0, 3.0, 3.0, -4.0, -4.0, 9.0, 9.0, 9.0, 9.0, 3.0, 9.0])
     assert q.evaluate(0.5) == -4.0 and q.evaluate(-2.0) == 3.0 and q.evaluate(8.0) == 9.0
+    # NaN lies in no piece: searched, it would land past the last breakpoint and read the last value
+    for bad in (np.nan, [np.nan], [0.5, np.nan, 1.5], [0.5, 1.0, np.nan], [np.nan, 1.0], [[0.5], [np.nan]]):
+        with pytest.raises(ValueError, match="nan"):
+            q.evaluate(bad)
+
+
+def test_evaluate_on_a_sorted_grid_equals_the_search_per_point():
+    # a sorted 1-D x takes one search of the breakpoints into x; it must give the per-point search's values
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        q, X = random_piecewise(rng)
+        bp = q.breakpoints
+        edges = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)])  # at a breakpoint, one ulp off
+        grids = [
+            np.sort(np.concatenate([edges, edges, [-1e300, -5.0, X + 5.0, np.inf], rng.uniform(-1.0, X + 1.0, 300)])),
+            np.linspace(0.0, X, int(rng.integers(2, 2000))),
+            np.sort(rng.uniform(0.0, X, int(rng.integers(1, len(bp))))),  # fewer points than breakpoints
+            np.repeat(bp[len(bp) // 2], 5),
+            np.array([]),
+            np.array([bp[1]]),
+            np.array([-np.inf]),
+        ]
+        for x in grids:
+            got = q.evaluate(x)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert np.array_equal(got, q.values[np.searchsorted(bp[1:-1], x, side="right")])
 
 
 def scalar_negative_pivots(diag, b2):
@@ -273,21 +300,95 @@ def test_blocked_inertia_equals_scalar_loop_at_every_length(n, scalar_rows):
         assert scalar_rows[-1] < B  # only the rows after the last full block go one by one
 
 
-def test_blocked_inertia_equals_scalar_loop_on_fd_matrices(monkeypatch):
-    # every FD matrix of random D and N problems, the Neumann end rows included, counted both ways
-    counts = []
+def fd_diagonal(q_eval, X, n_mesh, bc):
+    """``(diag, b2)`` of the FD matrix, assembled whole on ``np.linspace``: the rows that the streamed count builds."""
+    grid = np.linspace(0.0, X, n_mesh + 2)
+    qs = q_eval(grid)
+    inv2 = 1.0 / (grid[1] - grid[0]) ** 2
+    diag = 2.0 * inv2 + qs[1:-1]
+    if bc == "N":
+        diag = np.concatenate([[inv2 + 0.5 * qs[0]], diag, [inv2 + 0.5 * qs[-1]]])
+    return diag, float(inv2 * inv2)
 
-    def both(diag, b2):
-        counts.append((blocked(diag, b2), scalar_negative_pivots(diag, b2)))
-        return counts[-1][0]
 
-    blocked = spectral._negative_pivots
-    monkeypatch.setattr(spectral, "_negative_pivots", both)
+def test_blocked_inertia_equals_scalar_loop_on_fd_matrices():
+    # every FD matrix of random D and N problems, the Neumann end rows included: the streamed count
+    # equals the scalar count of the same diagonal, assembled whole
     rng = np.random.default_rng(3003)
     for bc in ("D", "N") * 6:
         q, X = random_piecewise(rng, q_max=20.0)
-        fd_inertia_count(q.evaluate, X, int(rng.integers(20_000, 200_000)), bc)
-    assert len(counts) == 12 and all(a == b for a, b in counts)
+        n_mesh = int(rng.integers(20_000, 200_000))
+        assert fd_inertia_count(q.evaluate, X, n_mesh, bc) == scalar_negative_pivots(*fd_diagonal(q.evaluate, X, n_mesh, bc))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_streamed_inertia_equals_scalar_loop_at_chunk_edges(blocks, monkeypatch, scalar_rows):
+    # chunks of 1, 2 and 3 blocks put each special row of the walk on a chunk edge
+    chunk = blocks * B
+    monkeypatch.setattr(spectral, "_FD_CHUNK", chunk)
+
+    def check(q_eval, X, n_mesh, bc):
+        scalar_rows.clear()
+        assert fd_inertia_count(q_eval, X, n_mesh, bc) == scalar_negative_pivots(*fd_diagonal(q_eval, X, n_mesh, bc))
+
+    rng = np.random.default_rng(blocks)
+    q, X = random_piecewise(rng, q_max=20.0)
+    for n_mesh in (3 * chunk - 2, 3 * chunk - 1):  # the last Neumann end row ends a chunk, or is one
+        check(q.evaluate, X, n_mesh, "N")
+    for n_mesh in (3 * chunk + 45, 4 * chunk - 45):  # a partial last block: a chunk of its own, or after full blocks
+        for bc in "DN":
+            check(q.evaluate, X, n_mesh, bc)
+    # an exact zero pivot ends the first chunk after pivots that round, as in
+    # test_blocked_inertia_zero_pivot_where_the_block_maps_round: the next chunk's first start
+    # is not always trusted.  Step 1 puts row r at x = r + 1 and gives b2 = 1.
+    fell_back = 0
+    for base in rng.uniform(2.05, 4.0, 60).tolist():
+        qs = np.full(3 * chunk + 2, base - 2.0)
+        d = math.inf
+        for a in (2.0 + qs[1:chunk]).tolist():
+            d = a - 1.0 / d
+        qs[chunk] = 1.0 / d - 2.0
+        if 2.0 + qs[chunk] != 1.0 / d:  # the assembled row misses the zero pivot
+            continue
+        check(lambda x: qs[x.astype(int)], 3.0 * chunk + 1.0, 3 * chunk, "D")
+        # every start trusted, or the rows go one by one from the second chunk's first start on
+        assert scalar_rows in ([0, 0, 0], [0, chunk, chunk])
+        fell_back += scalar_rows[1] > 0
+    assert fell_back
+    # the 1e30 wall of test_blocked_inertia_at_astronomical_diagonals, its first row starting a chunk
+    wall = PiecewisePotential(np.array([0.0, 3.0, 4.0, 10.0]), np.array([-4.0, 1e30, -4.0]))
+    for bc in "DN":
+        first_row = lambda n: int(np.searchsorted(np.linspace(0.0, 10.0, n + 2), 3.0)) - (bc == "D")
+        n_mesh = next(n for n in range(20_000, 20_000 + 4 * chunk) if first_row(n) % chunk == 0)
+        check(wall.evaluate, 10.0, n_mesh, bc)
+        assert max(scalar_rows) < B  # counted in the blocks: every start was trusted
+
+
+@pytest.mark.parametrize("bc", ["D", "N"])
+def test_fd_grid_is_linspace_point_for_point(bc, monkeypatch):
+    # q_eval sees each point of np.linspace(0, X, n_mesh + 2) once, in order, one call per chunk;
+    # 5e-324 takes linspace's branch for a step that underflows to 0
+    monkeypatch.setattr(spectral, "_FD_CHUNK", B)
+    for X, n_mesh in [(7.3, 5 * B + 17), (11.0, 10), (1e300, 3 * B), (1e-320, 2 * B + 3), (5e-324, B)]:
+        seen = []
+        with contextlib.suppress(NumericalError):  # the tiny steps' step**-4 is past the float range
+            fd_inertia_count(lambda x: seen.append(x.copy()) or np.zeros_like(x), X, n_mesh, bc)
+        assert len(seen) == -(-(n_mesh if bc == "D" else n_mesh + 2) // B)
+        assert np.array_equal(np.concatenate(seen), np.linspace(0.0, X, n_mesh + 2))
+
+
+def test_fd_inertia_memory_does_not_grow_with_the_mesh():
+    # at mesh 2e6 a diagonal built whole, with its block copies, peaks near 100 MB; a chunk's
+    # arrays take about 3 MB
+    q = PiecewisePotential(np.array([0.0, 3.0, 4.0, 10.0]), np.array([-4.0, 25.0, -4.0]))
+    for bc in "DN":
+        tracemalloc.start()
+        try:
+            fd_inertia_count(q.evaluate, 10.0, 2_000_000, bc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 @pytest.mark.parametrize("n,zero_row", [
@@ -804,6 +905,20 @@ def test_per_interval_counts_are_an_immutable_int_sequence():
     assert back == cert and hash(back) == hash(cert) and list(back.per_interval) == triples
     with pytest.raises(dataclasses.FrozenInstanceError):
         per.d = b""
+
+
+def test_bracket_dn_joins_interval_counts_once_per_certificate(monkeypatch):
+    # a certificate's per-interval counts are joined on the level where it settles, not on every level
+    joins, levels = [], []
+    join, level = IntervalCounts.from_arrays.__func__, spectral._level
+    monkeypatch.setattr(IntervalCounts, "from_arrays", classmethod(lambda cls, d, n: joins.append(1) or join(cls, d, n)))
+    monkeypatch.setattr(spectral, "_level", lambda *args: levels.append(args[3]) or level(*args))
+    dist = GapDistribution.exponential(1.0)
+    for seed in range(6):
+        real = sample_realization(dist, 0.25, 100.0, 300.0, np.random.default_rng(seed))
+        bracket_certificate(real, Perturbation.log_power(16 * PI**2, 2.0), refine=64)
+    assert len(levels) > 6  # seeds 1 and 4 settle on level 8
+    assert len(joins) == 6
 
 
 def test_per_interval_parts_join_as_one_array():
