@@ -281,6 +281,9 @@ def cmd_borderline(resolved: Dict[str, object]) -> int:
             [(t.index, x, cert.n_lo, cert.n_hi, mg, k)
              for t in report.trials for x, cert, mg, k in zip(xs, t.certificates, t.max_gaps, t.k_counts)],
         )
+        if any(report.unconverged):
+            sys.stderr.write(f"warning: multiplier {mult:g}: {','.join(map(str, report.unconverged))} of "
+                             f"{cfg.trials} certificates per checkpoint are wider than 1 at refine={cfg.refine}\n")
     return 0
 
 

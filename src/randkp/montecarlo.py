@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .randpot import GapDistribution, Perturbation, bernoulli_lattice, sample_gaps, sample_realization
-from .spectral import CountCertificate, _certificates
+from .spectral import CountCertificate, _certificates, _dn_certificate
 
 __all__ = [
     "ExperimentConfig",
@@ -44,9 +44,11 @@ class ExperimentConfig:
     ``bc_mode`` selects whole-domain counting with Dirichlet ends (the
     default; enlarging a Dirichlet domain cannot lose negative modes, so
     growth classification is conservative) or the Dirichlet/Neumann
-    interval-sum pair.  When ``lattice_p`` is set, realizations come from
-    the unit-cell occupancy model instead of sampled gaps and ``dist``
-    only documents the matching geometric law; ``l`` must then be 0.5.
+    interval-sum pair of ``sandwich_counts``, read off the level where the
+    whole-domain count settles.  When ``lattice_p`` is set, realizations
+    come from the unit-cell occupancy model instead of sampled gaps and
+    ``dist`` only documents the matching geometric law; ``l`` must then be
+    0.5.
     """
 
     dist: GapDistribution
@@ -106,6 +108,7 @@ class GrowthReport:
     max_counts: Tuple[int, ...]
     growing_fraction: float
     trials: Tuple[TrialResult, ...]
+    unconverged: Tuple[int, ...]  # per checkpoint, the certificates flagged unconverged
 
 
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -121,8 +124,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         real_full = bernoulli_lattice(cfg.lattice_p, x_max, rng, h=cfg.h)
     else:
         real_full = sample_realization(cfg.dist, cfg.l, cfg.h, x_max, rng)
-    whole = cfg.bc_mode == "whole-domain"
-    certs = [cert for cert, _, _ in _certificates(real_full, cfg.pert, cfg.checkpoints, cfg.refine, whole)]
+    records = _certificates(real_full, cfg.pert, cfg.checkpoints, cfg.refine)
+    certs = [r[0] if cfg.bc_mode == "whole-domain" else _dn_certificate(r) for r in records]
     k_counts = [real_full.bumps_within(x) for x in cfg.checkpoints]
     max_gaps = [float(np.max(real_full.gaps[:k])) if k else 0.0 for k in k_counts]
     return TrialResult(
@@ -163,6 +166,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
         max_counts=tuple(int(v) for v in maxima),
         growing_fraction=growing_fraction,
         trials=tuple(trials),
+        unconverged=tuple(sum(not c.converged for c in certs) for certs in zip(*(t.certificates for t in trials))),
     )
 
 

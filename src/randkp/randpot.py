@@ -255,8 +255,10 @@ class PotentialRealization:
         return int(np.searchsorted(self.centers, x, side="right"))
 
     def potential(self, x: ArrayLike) -> ArrayLike:
-        """V(x): ``h`` on the closed bumps, 0 elsewhere."""
+        """V(x): ``h`` on the closed bumps, 0 elsewhere.  NaN is a ValueError."""
         arr = np.asarray(x, dtype=float)
+        if np.isnan(arr).any():
+            raise ValueError("cannot evaluate the potential at x=nan")
         starts = self.centers - self.l
         idx = np.searchsorted(starts, arr, side="right") - 1
         hit = idx >= 0

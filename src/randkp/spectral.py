@@ -566,15 +566,6 @@ def _stream_pivots(chunks: Iterable[np.ndarray], b2: float) -> int:
     return neg
 
 
-def _negative_pivots(diag: np.ndarray, b2: float) -> int:
-    """Negative LDL^T pivots of the symmetric tridiagonal matrix with diagonal ``diag`` and squared coupling ``b2``.
-
-    ``diag`` goes through ``_stream_pivots`` in chunks of ``_FD_CHUNK`` rows,
-    as the rows of ``fd_inertia_count`` do.
-    """
-    return _stream_pivots((diag[i:i + _FD_CHUNK] for i in range(0, len(diag), _FD_CHUNK)), b2)
-
-
 def _grid(X: float, n: int, i0: int, i1: int) -> np.ndarray:
     """Points ``i0:i1`` of ``np.linspace(0.0, X, n)``, bit for bit: i*step, (i/(n-1))*X where step underflows, X last."""
     x = np.arange(i0, i1, dtype=float)
@@ -715,76 +706,74 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.min_scalar_type(a.max(initial=0))) if a.min(initial=0) >= 0 else a
 
 
-def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, whole: bool, bc: str):
-    """``(whole-domain counts, D sums, N sums, per-interval parts)`` at each checkpoint of ``xs`` on level ``s``.
+def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, bc: str):
+    """``(whole-domain counts, per-interval parts)`` at each checkpoint of ``xs`` on level ``s``.
 
     Checkpoint x (``xs`` increase) with K centers before it is segments
     0..K-1 of the renewal partition, which every later checkpoint shares,
     plus its tail [p_K, x].  One pass streams segments 0..K-1 of the last
     checkpoint in x-ordered blocks of at most ``_BLOCK_PIECES`` sub-pieces
     (by the level's bound of one well and two barriers per segment),
-    carrying the ``_Walk`` and the running sums from block to block.  A
-    block is one ``_span`` of segments j0..j1-1, to center j1-1 or, when
-    j1 is a checkpoint's K, on to x, so that its last segment is the tail;
-    right after that block is fed, the tail settles its checkpoint with one
-    more pivot and its own counts.  The counts per envelope are (shallow,
-    deep); only ``whole`` runs the walk, and only its absence keeps the
-    per-interval counts, as lists of D and N parts that ``_certificates``
-    joins only for the checkpoints that settle on this level.
+    carrying the ``_Walk`` from block to block.  A block is one ``_span`` of
+    segments j0..j1-1, to center j1-1 or, when j1 is a checkpoint's K, on to
+    x, so that its last segment is the tail; right after that block is fed,
+    the tail settles its checkpoint with one more pivot.  The whole-domain
+    counts, ``bc`` at both ends, are (shallow, deep).  The per-interval parts
+    are lists of the shallow D and deep N counts of segments 0..K, narrowed
+    block by block, which later checkpoints share up to their own tails.
     """
     c = real.centers
     per = max(1, _BLOCK_PIECES // (s + 2 * max(1, s // _BUMP_SUBDIV_RATIO)))
     lead = 0 if bc == "N" else 1
-    walk, sums, parts, out, j0 = _Walk(2), np.zeros(4, dtype=np.int64), [], [], 0
+    walk, parts, out, j0 = _Walk(2), [], [], 0
     for k, x in zip(np.searchsorted(c, xs, side="left").tolist(), xs):
         while True:
             j1 = min(j0 + per, k)
             m = j1 - j0
             sweep = _sweep(*_subdivide(*_span(real, j0, x if j1 == k else c[j1 - 1]), pert, s))
             d, n = _segment_counts(sweep)
-            if whole and m:
+            d0, n1 = _narrow(d[0]), _narrow(n[1])  # the per-interval counts, kept narrow across blocks
+            if m:
                 walk.feed(_terms([a[..., :m] for a in sweep], lead if j0 == 0 else None, None))
-            elif not whole:
-                d0, n1 = _narrow(d[0]), _narrow(n[1])  # the per-interval counts, kept narrow across blocks
                 parts.append((d0[:m], n1[:m]))
-            sums += np.concatenate([d[:, :m], n[:, :m]]).sum(axis=1)  # (d, n) x (shallow, deep)
             j0 = j1
             if j1 == k:
                 break
-        dn = (sums + np.concatenate([d[:, m], n[:, m]])).tolist()
-        counts = walk.close(_terms([a[..., m:] for a in sweep], lead if k == 0 else None, bc)) if whole else None
-        interval_parts = None if whole else ([*(q[0] for q in parts), d0[m:]], [*(q[1] for q in parts), n1[m:]])
-        out.append((counts, dn[:2], dn[2:], interval_parts))
+        counts = walk.close(_terms([a[..., m:] for a in sweep], lead if k == 0 else None, bc))
+        out.append((counts, tuple(zip(*parts, (d0[m:], n1[m:])))))  # (D parts, N parts)
     return out
 
 
-def _certificates(real: PotentialRealization, pert: Perturbation, xs, refine: int, whole: bool, bc: str = "D"):
-    """``(certificate, n_D, n_N)`` of ``real.truncate(x)`` for each checkpoint x of ``xs`` (increasing).
+def _certificates(real: PotentialRealization, pert: Perturbation, xs, refine: int, bc: str = "D"):
+    """``(certificate, n_D, n_N, per-interval parts)`` of ``real.truncate(x)`` for each checkpoint x of ``xs``.
 
-    Sub-pieces per well go 4, 8, ... up to ``refine``.  A checkpoint settles
-    on the first level where its stop rule holds, and each level streams
-    only as far as the last checkpoint not settled yet.  With ``whole`` the
-    certificate is the whole-domain count with ``bc`` at both ends, which
-    stops once it is at most 1 wide (else it is flagged unconverged at the
-    budget); otherwise it is the Dirichlet/Neumann interval-sum pair with
-    its per-interval counts, which stops once the deep envelope's Dirichlet
-    sum is within 1 of the shallow one's.  n_D and n_N are the interval sums
-    on the settling level.
+    Sub-pieces per well go 4, 8, ... up to ``refine``, and each level
+    streams only as far as the last of the increasing ``xs`` not settled.
+    There is one stop rule: a checkpoint settles on the first level where
+    its whole-domain certificate, ``bc`` at both ends, is at most 1 wide, or
+    at the budget, where a wider one is flagged unconverged.  n_D and n_N
+    are the sums of the per-interval Dirichlet and Neumann counts on that
+    same level, so n_D <= n_lo <= n_hi <= n_N holds exactly; the parts stay
+    unjoined for ``_dn_certificate``.
     """
     if refine < 1:
         raise ValueError("refinement budget must be >= 1")
     done, s = {}, min(4, refine)
     while len(done) < len(xs):
         pending = [i for i in range(len(xs)) if i not in done]
-        tallies = _level(real, pert, [xs[i] for i in pending], s, whole, bc)
-        for i, (counts, d, n, interval_parts) in zip(pending, tallies):
-            slack = counts[1] - counts[0] if whole else d[1] - d[0]
-            if slack <= 1 or s >= refine:
-                cert = (CountCertificate(*counts, converged=slack <= 1) if whole
-                        else CountCertificate(d[0], n[1], per_interval=IntervalCounts.from_arrays(*interval_parts)))
-                done[i] = (cert, d[0], n[1])
+        for i, (counts, parts) in zip(pending, _level(real, pert, [xs[i] for i in pending], s, bc)):
+            converged = counts[1] - counts[0] <= 1
+            if converged or s >= refine:
+                n_d, n_n = (sum(int(a.sum()) for a in p) for p in parts)
+                done[i] = (CountCertificate(*counts, converged=converged), n_d, n_n, parts)
         s = min(2 * s, refine)
     return [done[i] for i in range(len(xs))]
+
+
+def _dn_certificate(record) -> CountCertificate:
+    """The certificate [n_D, n_N] of a ``_certificates`` record with its per-interval counts, converged on any level."""
+    _, n_d, n_n, parts = record
+    return CountCertificate(n_d, n_n, per_interval=IntervalCounts.from_arrays(*parts))
 
 
 def count_with_bracketed_w(
@@ -802,7 +791,7 @@ def count_with_bracketed_w(
     the budget is exhausted (then the certificate is flagged unconverged).
     """
     _check_bc(bc)
-    return _certificates(real, pert, [real.X], refine, True, bc)[0][0]
+    return _certificates(real, pert, [real.X], refine, bc)[0][0]
 
 
 def sandwich_counts(
@@ -817,7 +806,7 @@ def sandwich_counts(
     n_D <= n_lo <= n_hi <= n_N, not just a statistical tendency.  The
     interval sums are taken on the level where the certificate stopped.
     """
-    cert, n_d, n_n = _certificates(real, pert, [real.X], refine, True)[0]
+    cert, n_d, n_n, _ = _certificates(real, pert, [real.X], refine)[0]
     return n_d, cert, n_n
 
 
@@ -831,9 +820,10 @@ def bracket_certificate(
     Each renewal interval [x_k, x_{k+1}] (plus the leading [0, x_1] and any
     trailing stub) is counted with D-D and N-N ends using the conservative
     side of the envelope, so the pair brackets the true count even before
-    envelope refinement converges.
+    envelope refinement converges.  It is ``sandwich_counts``' (n_D, n_N),
+    from the level where the Dirichlet whole-domain count settles.
     """
-    return _certificates(real, pert, [real.X], refine, False)[0][0]
+    return _dn_certificate(_certificates(real, pert, [real.X], refine)[0])
 
 
 # ---------------------------------------------------------------------------

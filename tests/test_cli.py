@@ -372,6 +372,20 @@ def test_borderline_separation_and_files(tmp_path, capsys):
     assert fractions["0.25"] < fractions["4"]
 
 
+def test_borderline_reports_unconverged_certificates_on_stderr(tmp_path, capsys):
+    # one line for each multiplier with a certificate still wider than 1 at the budget, none for
+    # the others; the CSV rows are the same either way
+    args = ["borderline", "dist=exp", "eta=1", "l=0.25", "h=100", "multipliers=0.25,64", "Xs=100,300",
+            "trials=3", "seed=2", "workers=1"]
+    code, _, err = run(capsys, *args, f"out={tmp_path}/w")
+    assert code == 0
+    assert err == "warning: multiplier 64: 3,3 of 3 certificates per checkpoint are wider than 1 at refine=4\n"
+    trials = [row.split(",") for row in data_rows((tmp_path / "w_m64_trials.csv").read_text())[1:]]
+    assert sum(int(row[3]) - int(row[2]) > 1 for row in trials) == 6
+    code, _, err = run(capsys, *args, "mode=bracket-DN", f"out={tmp_path}/dn")
+    assert code == 0 and err == ""
+
+
 def test_borderline_rerun_byte_identical(tmp_path, capsys):
     args = ["borderline", "dist=geom", "q=0.5", "multipliers=2", "Xs=100,400",
             "trials=3", "seed=11", "l=0.25", "h=25", "workers=2"]

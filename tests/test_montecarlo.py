@@ -1,5 +1,6 @@
 """Trial harness: determinism, oracles, aggregation, growth classification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,18 @@ def test_bracket_mode_contains_whole_domain():
         for cw, cb in zip(tw.certificates, tb.certificates):
             assert cb.n_lo <= cw.n_hi  # D-sum below the whole count
             assert cw.n_lo <= cb.n_hi  # whole count below the N-sum
+
+
+@pytest.mark.parametrize("refine", [4, 16])
+def test_report_counts_unconverged_certificates_per_checkpoint(refine):
+    # at multiplier 64 a level-4 whole-domain bracket is still wider than 1; the D/N pair is
+    # flagged converged on any level
+    cfg = small_cfg(pert=Perturbation.log_power(64 * PI**2, 2.0), h=100.0, checkpoints=(100.0, 300.0),
+                    trials=3, master_seed=2, refine=refine)
+    rep = run_experiment(cfg)
+    assert rep.unconverged == tuple(sum(c.width > 1 for c in certs) for certs in zip(*(t.certificates for t in rep.trials)))
+    assert any(rep.unconverged)
+    assert run_experiment(dataclasses.replace(cfg, bc_mode="bracket-DN")).unconverged == (0, 0)
 
 
 def test_single_trial_report_is_the_trial():

@@ -227,6 +227,10 @@ def test_potential_values_are_zero_or_h():
     assert set(np.unique(vals)) <= {0.0, 3.0}
     on_bump = real.centers[real.centers < 99]
     assert np.all(real.potential(on_bump) == 3.0)
+    # NaN lies in no bump and outside none: an error, not 0.0
+    for x in (np.array([real.centers[0], np.nan]), math.nan):
+        with pytest.raises(ValueError, match="nan"):
+            real.potential(x)
 
 
 # ---------------------------------------------------------------------------
