@@ -490,7 +490,7 @@ def count_negative_exact(
 
 
 _FD_BLOCK = 128  # rows per block: 2.9 ms per 2e5 rows, as at 64; 3.8 ms at 256
-_FD_CHUNK = 1 << 16  # rows per chunk, a multiple of _FD_BLOCK: 2^14 runs the block loops 4x as often, 2^17 page-faults
+_FD_CHUNK = 1 << 16  # target rows per chunk, a multiple of _FD_BLOCK: 2^14 runs the block loops 4x as often, 2^17 page-faults
 _FD_JUNCTION_TOL = 2.0 ** -26  # trusted start error, as a share of the pivot's terms: 4e-15 typical, 1e-9 worst seen
 
 
@@ -506,16 +506,20 @@ def _stream_pivots(chunks: Iterable[np.ndarray], b2: float) -> int:
     products are rescaled by powers of 2 before they could overflow.  Pass 2
     chains the maps in one scalar pass for each block's start pivot (the
     matrix's first block starts at inf).  Pass 3 runs the recurrence of
-    ``_pivots``, with its zero rule, in every block of the chunk at once from
-    those starts.  A start that differs from the end pivot of the block
-    before it in sign, or by more than ``_FD_JUNCTION_TOL`` of the terms of
-    that pivot, is not trusted: from that block on, as after the last full
-    block, the rows go through ``_pivots``.  From chunk to chunk the walk
-    carries the count, the last pivot and its terms, the chained eta and
-    whether the rows have left the blocks.  Only the rescaling cadence is
-    set per chunk, and scaling by powers of 2 leaves the maps as they are
-    (short of entries below the normal range), so the starts, the pivots and
-    the count do not depend on where the chunks end.
+    ``_pivots`` in every block of the chunk at once from those starts, with
+    no test per row: where a row has a pivot of exactly 0, it becomes
+    ulp(0) and the rows after it run again, which gives ``_pivots``' zero
+    rule bit for bit at the cost of a rare second pass.  A start that
+    differs from the end pivot of the block before it in sign, or by more
+    than ``_FD_JUNCTION_TOL`` of the terms of that pivot, is not trusted:
+    from that block on, as after the last full block, the rows go through
+    ``_pivots``.  From chunk to chunk the walk carries the count, the last
+    pivot and its terms, the chained eta and whether the rows have left the
+    blocks.  Only the rescaling cadence is set per chunk, and scaling by
+    powers of 2 leaves the maps as they are (short of entries below the
+    normal range), so the starts, the pivots and the count do not depend on
+    where the chunks end.  No step of the row loops allocates: pass 3
+    writes the pivots over pass 1's z.
     """
     neg, d, terms, eta, blocked = 0, math.inf, 0.0, math.inf, 0.0 < b2 < math.inf
     c = math.sqrt(b2) if blocked else 0.0
@@ -524,18 +528,19 @@ def _stream_pivots(chunks: Iterable[np.ndarray], b2: float) -> int:
         if nb:
             with np.errstate(all="ignore"):
                 rows = np.ascontiguousarray(diag[: nb * _FD_BLOCK].reshape(nb, _FD_BLOCK).T)  # rows[j]: row j of each block
-                zeta = rows / c - 2.0
+                # each z twice, for the two rows of top and bot: a product with z broadcast takes 1.5x as long
+                zeta = np.divide(rows[:, None], c, out=np.empty((_FD_BLOCK, 2, nb)))
+                zeta -= 2.0
                 every = max(1, int(500.0 // math.log2(2.0 * max(zeta.max(), -zeta.min()) + 6.0)))  # entries < 2**500
-                top, bot = np.zeros((2, nb)), np.zeros((2, nb))
+                top, bot, zbot = np.zeros((2, nb)), np.zeros((2, nb)), np.empty((2, nb))
                 top[0] = bot[1] = 1.0
                 for j, z in enumerate(zeta, 1):
                     bot += top
-                    top += z * bot
+                    top += np.multiply(z, bot, out=zbot)
                     if j % every == 0:
                         scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(top), abs(bot)).max(axis=0))[1])
                         top *= scale
                         bot *= scale
-                del zeta, z  # freed for piv
                 (m00, m01), (m10, m11) = top, bot
                 maps = zip(*(a.tolist() for a in (m00 / m10, (m01 * m10 - m00 * m11) / (m10 * m10), m11 / m10)))
                 etas = []
@@ -545,12 +550,17 @@ def _stream_pivots(chunks: Iterable[np.ndarray], b2: float) -> int:
                     eta = p + q / t if t else math.inf
                 # a start of 0 acts as ulp(0) would: b2/0 and b2/ulp(0) are both inf once b2 > 1e-15
                 start = prev = c * (1.0 + np.array(etas))
-                piv = np.empty_like(rows)
-                for a, p in zip(rows, piv):
-                    np.subtract(a, b2 / prev, out=p)
-                    if not p.all():
-                        p[p == 0.0] = math.ulp(0.0)
-                    prev = p
+                piv, j = zeta[:, 0], 0  # pass 1 is done with z
+                while True:
+                    for a, p in zip(rows[j:], piv[j:]):
+                        np.subtract(a, np.divide(b2, prev, out=p), out=p)
+                        prev = p
+                    if piv[j:].all():
+                        break
+                    j += int(np.argmin(piv[j:].all(axis=1)))  # the first row with a zero pivot
+                    prev = piv[j]
+                    prev[prev == 0.0] = math.ulp(0.0)
+                    j += 1
                 # block i's start continues end[i], whose terms are size[i]: the carried pivot, then each block's last
                 end = np.concatenate([[d], piv[-1]])
                 size = np.concatenate([[terms], np.abs(rows[-1]) + np.abs(b2 / piv[-2])])
@@ -581,16 +591,23 @@ def _grid(X: float, n: int, i0: int, i1: int) -> np.ndarray:
 
 
 def _fd_diagonal(q_eval: Callable[[np.ndarray], np.ndarray], X: float, n: int, inv2: float, bc: str):
-    """The FD matrix's diagonal on the grid of ``n`` points, in chunks of ``_FD_CHUNK`` rows: one ``q_eval`` call each.
+    """The FD matrix's diagonal on the grid of ``n`` points, in equal chunks: one ``q_eval`` call each.
 
     Row r is grid point r + 1 with Dirichlet ends and point r with Neumann
     ends.  A chunk at either end of the grid also takes the end point, so
-    ``q_eval`` sees every grid point once.
+    ``q_eval`` sees every grid point once.  R rows make max(1, round(R /
+    ``_FD_CHUNK``)) chunks, halves down, that share the full blocks evenly,
+    larger shares first; the last also takes the rows after them.  A short
+    tail chunk would run the block loops as often as a full one, and a
+    chunk larger than the one before would not fit in the memory it freed
+    but page-fault on fresh pages.
     """
     off = 1 if bc == "D" else 0
     rows = n - 2 * off
-    for r0 in range(0, rows, _FD_CHUNK):
-        r1 = min(r0 + _FD_CHUNK, rows)
+    k = max(1, (rows + _FD_CHUNK // 2) // _FD_CHUNK)
+    share, extra = divmod(rows // _FD_BLOCK, k)
+    edges = [_FD_BLOCK * (i * share + min(i, extra)) for i in range(k)] + [rows]
+    for r0, r1 in zip(edges, edges[1:]):
         p0, p1 = (0 if r0 == 0 else r0 + off), (n if r1 == rows else r1 + off)
         qs = np.asarray(q_eval(_grid(X, n, p0, p1)), dtype=float)
         if qs.shape != (p1 - p0,) or not np.all(np.isfinite(qs)):
@@ -624,14 +641,14 @@ def fd_inertia_count(
     argument); a start that disagrees with the block before it falls back to
     the row-by-row loop.  An exactly zero pivot counts as nonnegative and
     becomes ulp(0), in the blocks as in the loop, so a zero eigenvalue is not
-    counted.  The matrix is built and walked in chunks of ``_FD_CHUNK`` rows
-    (``_stream_pivots``), each with its own grid points, those of
-    ``np.linspace(0, X, n_mesh + 2)``, and its own ``q_eval`` call, so
-    ``q_eval`` is called once per chunk and no array grows with the mesh:
-    at mesh 2e6 a call holds about 3 MB, where the diagonal built whole took
-    100 MB.  At mesh 2e5 a call takes about 30 ns per mesh point, against
-    60-70 ns with the diagonal built whole and 80-110 ns for the count row
-    by row (2 vCPUs, Xeon, numpy 2.4).
+    counted.  The matrix is built and walked in equal chunks of about
+    ``_FD_CHUNK`` rows (``_fd_diagonal``, ``_stream_pivots``), each with its
+    own grid points, those of ``np.linspace(0, X, n_mesh + 2)``, and its own
+    ``q_eval`` call, so ``q_eval`` is called once per chunk and no array
+    grows with the mesh: at mesh 2e6 a call holds about 3 MB, where the
+    diagonal built whole took 100 MB.  At mesh 2e5 a call takes about 23 ns
+    per mesh point, against 60-70 ns with the diagonal built whole and
+    80-110 ns for the count row by row (2 vCPUs, Xeon, numpy 2.4).
     """
     _check_bc(bc)
     if n_mesh < 10:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -321,6 +322,59 @@ def test_blocked_inertia_equals_scalar_loop_on_fd_matrices():
         assert fd_inertia_count(q.evaluate, X, n_mesh, bc) == scalar_negative_pivots(*fd_diagonal(q.evaluate, X, n_mesh, bc))
 
 
+def fd_chunk_edges(rows, chunk):
+    """Row edges of the FD chunks: k = max(1, round(rows / chunk)), halves down, share the full blocks, larger first."""
+    k = max(1, (rows + chunk // 2) // chunk)
+    share, extra = divmod(rows // B, k)
+    return [B * (i * share + min(i, extra)) for i in range(k)] + [rows]
+
+
+@pytest.mark.parametrize("bc", ["D", "N"])
+def test_fd_chunks_are_equal_whole_blocks(bc, monkeypatch):
+    # rows just below and above k and k + 1/2 chunks, and below half a chunk: round(rows / chunk)
+    # calls of q_eval, one per chunk, that see the grid once and in order; every chunk but the last
+    # whole blocks, none more than a block from another or above 1.5 chunks; and the scalar loop's count
+    chunk = 4 * B
+    monkeypatch.setattr(spectral, "_FD_CHUNK", chunk)
+    rng = np.random.default_rng(26)
+    q, X = random_piecewise(rng, q_max=2e4)
+    off = 1 if bc == "D" else 0
+    cases = [(chunk // 2 - 1, 1)]
+    for k in (1, 2, 3):
+        cases += [(k * chunk - 1, k), (k * chunk + 1, k), (k * chunk + chunk // 2 - 1, k), (k * chunk + chunk // 2 + 1, k + 1)]
+    for rows, k in cases:
+        n_mesh = rows - 2 + 2 * off
+        seen = []
+        got = fd_inertia_count(lambda x: seen.append(x.copy()) or q.evaluate(x), X, n_mesh, bc)
+        assert got == scalar_negative_pivots(*fd_diagonal(q.evaluate, X, n_mesh, bc))
+        assert np.array_equal(np.concatenate(seen), np.linspace(0.0, X, n_mesh + 2))
+        sizes = [len(x) for x in seen]
+        sizes[0] -= off
+        sizes[-1] -= off
+        assert len(sizes) == k
+        assert np.cumsum([0] + sizes).tolist() == fd_chunk_edges(rows, chunk)
+        assert all(size % B == 0 for size in sizes[:-1])
+        assert max(sizes) - min(sizes) <= B and max(sizes) <= 1.5 * chunk
+
+
+def test_blocked_inertia_zero_rule_restarts_the_rows_after_each_zero(scalar_rows):
+    # exact zero pivots in one chunk at several rows and block columns, two in block 5's column and
+    # two in row 40: b2 / ulp(0) is about 2024 here, so only the zero rule makes the next pivot
+    # 3000 - 2024 > 0, not -inf; each zero needs the rows after it computed again
+    b2 = 1e-320
+    diag = np.ones(8 * B)
+    zero_rows = [B + 40, 3 * B + 100, 5 * B + 20, 5 * B + 70, 6 * B + 40, 7 * B + 126]
+    for r in zero_rows:
+        diag[r], diag[r + 1] = b2, 3000.0
+    d = math.inf
+    for r, a in enumerate(diag.tolist()):
+        d = a - b2 / d
+        assert (d == 0.0) == (r in zero_rows)
+        d = d or math.ulp(0.0)
+    assert _stream_pivots([diag], b2) == scalar_negative_pivots(diag, b2) == 0
+    assert max(scalar_rows) < B  # the zero rule ran inside the blocks, not in a scalar fallback
+
+
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_streamed_inertia_equals_scalar_loop_at_chunk_edges(blocks, monkeypatch, scalar_rows):
     # chunks of 1, 2 and 3 blocks put each special row of the walk on a chunk edge
@@ -333,9 +387,9 @@ def test_streamed_inertia_equals_scalar_loop_at_chunk_edges(blocks, monkeypatch,
 
     rng = np.random.default_rng(blocks)
     q, X = random_piecewise(rng, q_max=20.0)
-    for n_mesh in (3 * chunk - 2, 3 * chunk - 1):  # the last Neumann end row ends a chunk, or is one
+    for n_mesh in (3 * chunk - 2, 3 * chunk - 1):  # the last Neumann end row ends a full block, or follows one
         check(q.evaluate, X, n_mesh, "N")
-    for n_mesh in (3 * chunk + 45, 4 * chunk - 45):  # a partial last block: a chunk of its own, or after full blocks
+    for n_mesh in (3 * chunk + 45, 4 * chunk - 45):  # a partial last block: after full blocks, or alone in one-block chunks
         for bc in "DN":
             check(q.evaluate, X, n_mesh, bc)
     # an exact zero pivot ends the first chunk after pivots that round, as in
@@ -359,7 +413,8 @@ def test_streamed_inertia_equals_scalar_loop_at_chunk_edges(blocks, monkeypatch,
     wall = PiecewisePotential(np.array([0.0, 3.0, 4.0, 10.0]), np.array([-4.0, 1e30, -4.0]))
     for bc in "DN":
         first_row = lambda n: int(np.searchsorted(np.linspace(0.0, 10.0, n + 2), 3.0)) - (bc == "D")
-        n_mesh = next(n for n in range(20_000, 20_000 + 4 * chunk) if first_row(n) % chunk == 0)
+        starts = lambda n: fd_chunk_edges(n + 2 * (bc == "N"), chunk)[:-1]
+        n_mesh = next(n for n in range(20_000, 20_000 + 4 * chunk) if first_row(n) in starts(n))
         check(wall.evaluate, 10.0, n_mesh, bc)
         assert max(scalar_rows) < B  # counted in the blocks: every start was trusted
 
@@ -373,7 +428,7 @@ def test_fd_grid_is_linspace_point_for_point(bc, monkeypatch):
         seen = []
         with contextlib.suppress(NumericalError):  # the tiny steps' step**-4 is past the float range
             fd_inertia_count(lambda x: seen.append(x.copy()) or np.zeros_like(x), X, n_mesh, bc)
-        assert len(seen) == -(-(n_mesh if bc == "D" else n_mesh + 2) // B)
+        assert len(seen) == max(1, ((n_mesh if bc == "D" else n_mesh + 2) + B // 2) // B)
         assert np.array_equal(np.concatenate(seen), np.linspace(0.0, X, n_mesh + 2))
 
 
@@ -381,10 +436,10 @@ def test_fd_inertia_memory_does_not_grow_with_the_mesh():
     # at mesh 2e6 a diagonal built whole, with its block copies, peaks near 100 MB; a chunk's
     # arrays take about 3 MB
     q = PiecewisePotential(np.array([0.0, 3.0, 4.0, 10.0]), np.array([-4.0, 25.0, -4.0]))
-    for bc in "DN":
+    for n_mesh, bc in itertools.product((2_000_000, 98_000), "DN"):  # 98,000: one chunk of about 1.5 * 2^16 rows
         tracemalloc.start()
         try:
-            fd_inertia_count(q.evaluate, 10.0, 2_000_000, bc)
+            fd_inertia_count(q.evaluate, 10.0, n_mesh, bc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -124,6 +124,27 @@ def test_super_borderline_summand_decays_like_sqrt():
     assert res.fit_exponent == pytest.approx(0.5, abs=0.05)
 
 
+@pytest.mark.parametrize("k_max", [10**3, 10**4, 10**5])
+def test_bc_sum_fit_is_polyfits_slope(k_max):
+    # the closed-form least-squares slope against np.polyfit's on the same window: power and
+    # log-power envelopes of every decay in [0.2, 2], with verdicts of all three kinds
+    cases = [(GapDistribution.pareto(1.0, a), Perturbation.power_law(1.0, beta))
+             for a in (2.0, 3.0) for beta in np.linspace(0.2, 2.0, 10)]
+    cases += [(GapDistribution.exponential(1.0), Perturbation.log_power(m * PI**2, beta))
+              for m in (0.25, 1.0, 4.0) for beta in np.linspace(0.2, 2.0, 10)]
+    lo = max(1, k_max // 10)
+    ks = np.log(np.arange(lo, k_max + 1, dtype=float))
+    for dist, pert in cases:
+        res = bc_sum(dist, pert, mean_spacing(dist, 0.25), 0.05, 0.0, k_max)
+        window = res.summands[lo - 1:]
+        positive = window > 0.0
+        assert np.count_nonzero(positive) >= 10
+        fit = -np.polyfit(ks[positive], np.log(window[positive]), 1)[0]
+        verdict = "converging" if fit > 1.1 else "diverging" if fit < 0.9 else "undetermined"
+        assert res.verdict == verdict
+        assert res.fit_exponent == pytest.approx(fit, rel=0.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("dist", [GapDistribution.exponential(1.0), GapDistribution.geometric(0.5)],
                          ids=["exponential", "geometric"])
 @pytest.mark.parametrize("eps", [0.01, 0.05])
