@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -451,10 +451,10 @@ class _Walk:
         """Per-envelope counts of the domain that ends with the segment of ``terms`` (``end`` set) after ``state``."""
         out = []
         for (n_cut, neg, d, left0, b0), c, r in zip(self.state, terms[0][:, 0].tolist(), terms[1][:, 0].tolist()):
-            p = (left0 + r) - b0 / d
-            if math.isnan(p):
+            neg, d = _pivots([left0 + r], [b0], neg, d)
+            if math.isnan(d):
                 raise NumericalError("interface factorization produced NaN")
-            out.append(n_cut + c + neg + (p < 0.0))
+            out.append(n_cut + c + neg)
         return out
 
 
@@ -491,89 +491,83 @@ def count_negative_exact(
 
 _FD_BLOCK = 128  # rows per block: 2.9 ms per 2e5 rows, as at 64; 3.8 ms at 256
 _FD_CHUNK = 1 << 16  # target rows per chunk, a multiple of _FD_BLOCK: 2^14 runs the block loops 4x as often, 2^17 page-faults
-_FD_JUNCTION_TOL = 2.0 ** -26  # trusted start error, as a share of the pivot's terms: 4e-15 typical, 1e-9 worst seen
+_FD_JUNCTION_TOL = 2.0 ** -26  # trusted start error, as a share of the terms: 2e-15 median, 3 FD junctions in 774k above it
 
 
-def _stream_pivots(chunks: Iterable[np.ndarray], b2: float) -> int:
-    """Negative LDL^T pivots of the symmetric tridiagonal matrix with diagonal ``chunks``, joined, and squared coupling ``b2``.
+def _blocked_pivots(diag: np.ndarray, b2: float, neg: int = 0, d: float = math.inf):
+    """``_pivots(diag, repeat(b2), neg, d)`` with the rows in blocks of ``_FD_BLOCK``: ``(negative pivots, last pivot)``.
 
-    Every chunk but the last holds a multiple of ``_FD_BLOCK`` rows, cut
-    into blocks of ``_FD_BLOCK``.  Pass 1 composes each block's Mobius map
-    d -> a - b2/d as a product of 2x2 matrices, all blocks of a chunk at
-    once.  It works in eta = d/c - 1 with c = sqrt(b2), where a row is
-    [[1 + z, z], [1, 1]] with z = a/c - 2: an FD row has z near 0, and there
-    the plain [[a, -b2], [1, 0]] products would cancel to a few digits.  The
-    products are rescaled by powers of 2 before they could overflow.  Pass 2
-    chains the maps in one scalar pass for each block's start pivot (the
-    matrix's first block starts at inf).  Pass 3 runs the recurrence of
-    ``_pivots`` in every block of the chunk at once from those starts, with
-    no test per row: where a row has a pivot of exactly 0, it becomes
-    ulp(0) and the rows after it run again, which gives ``_pivots``' zero
-    rule bit for bit at the cost of a rare second pass.  A start that
-    differs from the end pivot of the block before it in sign, or by more
-    than ``_FD_JUNCTION_TOL`` of the terms of that pivot, is not trusted:
-    from that block on, as after the last full block, the rows go through
-    ``_pivots``.  From chunk to chunk the walk carries the count, the last
-    pivot and its terms, the chained eta and whether the rows have left the
-    blocks.  Only the rescaling cadence is set per chunk, and scaling by
-    powers of 2 leaves the maps as they are (short of entries below the
-    normal range), so the starts, the pivots and the count do not depend on
-    where the chunks end.  No step of the row loops allocates: pass 3
-    writes the pivots over pass 1's z.
+    Pass 1 composes each full block's Mobius map d -> a - b2/d as a product
+    of 2x2 matrices, all blocks at once.  It works in eta = d/c - 1 with
+    c = sqrt(b2), where a row is [[1 + z, z], [1, 1]] with z = a/c - 2: an
+    FD row has z near 0, and there the plain [[a, -b2], [1, 0]] products
+    would cancel to a few digits.  The products are rescaled by powers of 2
+    before they could overflow.  Pass 2 chains the maps in one scalar pass
+    from eta = d/c - 1 for the start pivots of the blocks after the first,
+    which starts at ``d`` itself.  Pass 3 runs the recurrence of ``_pivots``
+    in every block at once from those starts, with no test per row: where a
+    row has a pivot of exactly 0, it becomes ulp(0) and the rows after it
+    run again, which gives ``_pivots``' zero rule bit for bit at the cost of
+    a rare second pass.  A start s after a block that ended at e is exact
+    when b2/s == b2/e.  It is trusted when s has the sign of e and differs
+    from it, and b2/s from b2/e, by at most ``_FD_JUNCTION_TOL`` of the
+    terms of e and of the next pivot: the count is then that of a matrix
+    perturbed as little next to the junction (Kahan's inertia argument).
+    The second test matters where b2/ulp(0) is finite, for b2 below about
+    1e-15: a start a rounding away from an end of ulp(0) changes the next
+    pivot entirely.  From the first untrusted start on, as after the last
+    full block, the rows go through ``_pivots``; with a coupling of 0 or
+    inf, which has no c, all of them do.  No step of the row loops
+    allocates: pass 3 writes the pivots over pass 1's z.
     """
-    neg, d, terms, eta, blocked = 0, math.inf, 0.0, math.inf, 0.0 < b2 < math.inf
-    c = math.sqrt(b2) if blocked else 0.0
-    for diag in chunks:
-        nb, done = (len(diag) // _FD_BLOCK if blocked else 0), 0
-        if nb:
-            with np.errstate(all="ignore"):
-                rows = np.ascontiguousarray(diag[: nb * _FD_BLOCK].reshape(nb, _FD_BLOCK).T)  # rows[j]: row j of each block
-                # each z twice, for the two rows of top and bot: a product with z broadcast takes 1.5x as long
-                zeta = np.divide(rows[:, None], c, out=np.empty((_FD_BLOCK, 2, nb)))
-                zeta -= 2.0
-                every = max(1, int(500.0 // math.log2(2.0 * max(zeta.max(), -zeta.min()) + 6.0)))  # entries < 2**500
-                top, bot, zbot = np.zeros((2, nb)), np.zeros((2, nb)), np.empty((2, nb))
-                top[0] = bot[1] = 1.0
-                for j, z in enumerate(zeta, 1):
-                    bot += top
-                    top += np.multiply(z, bot, out=zbot)
-                    if j % every == 0:
-                        scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(top), abs(bot)).max(axis=0))[1])
-                        top *= scale
-                        bot *= scale
-                (m00, m01), (m10, m11) = top, bot
-                maps = zip(*(a.tolist() for a in (m00 / m10, (m01 * m10 - m00 * m11) / (m10 * m10), m11 / m10)))
-                etas = []
-                for p, q, r in maps:  # eta -> p + q/(eta + r)
-                    etas.append(eta)
-                    t = eta + r
-                    eta = p + q / t if t else math.inf
-                # a start of 0 acts as ulp(0) would: b2/0 and b2/ulp(0) are both inf once b2 > 1e-15
-                start = prev = c * (1.0 + np.array(etas))
-                piv, j = zeta[:, 0], 0  # pass 1 is done with z
-                while True:
-                    for a, p in zip(rows[j:], piv[j:]):
-                        np.subtract(a, np.divide(b2, prev, out=p), out=p)
-                        prev = p
-                    if piv[j:].all():
-                        break
-                    j += int(np.argmin(piv[j:].all(axis=1)))  # the first row with a zero pivot
-                    prev = piv[j]
-                    prev[prev == 0.0] = math.ulp(0.0)
-                    j += 1
-                # block i's start continues end[i], whose terms are size[i]: the carried pivot, then each block's last
-                end = np.concatenate([[d], piv[-1]])
-                size = np.concatenate([[terms], np.abs(rows[-1]) + np.abs(b2 / piv[-2])])
-                gap = abs(end[:-1] - start)
-                trusted = (end[:-1] == start) | (((end[:-1] < 0.0) == (start < 0.0)) & (gap <= _FD_JUNCTION_TOL * size[:-1]))
-                done = nb if trusted.all() else int(np.argmin(trusted))
-                neg += int(np.count_nonzero(piv[:, :done] < 0.0))
-                d, terms = float(end[done]), float(size[done])
-        blocked = done * _FD_BLOCK == len(diag)  # else the rest of the rows, and all after them, go one by one
-        neg, d = _pivots(diag[done * _FD_BLOCK:].tolist(), itertools.repeat(b2), neg, d)
-    if math.isnan(d):
-        raise NumericalError("finite-difference factorization produced NaN")
-    return neg
+    nb, done = (len(diag) // _FD_BLOCK if 0.0 < b2 < math.inf else 0), 0
+    if nb:
+        c = math.sqrt(b2)
+        with np.errstate(all="ignore"):
+            rows = np.ascontiguousarray(diag[: nb * _FD_BLOCK].reshape(nb, _FD_BLOCK).T)  # rows[j]: row j of each block
+            # each z twice, for the two rows of top and bot: a product with z broadcast takes 1.5x as long
+            zeta = np.divide(rows[:, None], c, out=np.empty((_FD_BLOCK, 2, nb)))
+            zeta -= 2.0
+            every = max(1, int(500.0 // math.log2(2.0 * max(zeta.max(), -zeta.min()) + 6.0)))  # entries < 2**500
+            top, bot, zbot = np.zeros((2, nb)), np.zeros((2, nb)), np.empty((2, nb))
+            top[0] = bot[1] = 1.0
+            for j, z in enumerate(zeta, 1):
+                bot += top
+                top += np.multiply(z, bot, out=zbot)
+                if j % every == 0:
+                    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(top), abs(bot)).max(axis=0))[1])
+                    top *= scale
+                    bot *= scale
+            (m00, m01), (m10, m11) = top, bot
+            maps = zip(*(a.tolist() for a in (m00 / m10, (m01 * m10 - m00 * m11) / (m10 * m10), m11 / m10)))
+            eta, etas = d / c - 1.0, []
+            for p, q, r in maps:  # eta -> p + q/(eta + r)
+                etas.append(eta)
+                t = eta + r
+                eta = p + q / t if t else math.inf
+            start = prev = c * (1.0 + np.array(etas))
+            start[0] = d
+            piv, j = zeta[:, 0], 0  # pass 1 is done with z
+            while True:
+                for a, p in zip(rows[j:], piv[j:]):
+                    np.subtract(a, np.divide(b2, prev, out=p), out=p)
+                    prev = p
+                if piv[j:].all():
+                    break
+                j += int(np.argmin(piv[j:].all(axis=1)))  # the first row with a zero pivot
+                prev = piv[j]
+                prev[prev == 0.0] = math.ulp(0.0)
+                j += 1
+            end, start = piv[-1, :-1], start[1:]  # block i + 1 starts at start[i], where block i ended at end[i]
+            te, ts = b2 / end, b2 / start
+            near = (end < 0.0) == (start < 0.0)
+            near &= abs(end - start) <= _FD_JUNCTION_TOL * (abs(rows[-1, :-1]) + abs(b2 / piv[-2, :-1]))
+            near &= abs(te - ts) <= _FD_JUNCTION_TOL * (abs(rows[0, 1:]) + abs(te))
+            trusted = (te == ts) | near
+            done = nb if trusted.all() else int(np.argmin(trusted)) + 1
+            neg += int(np.count_nonzero(piv[:, :done] < 0.0))
+            d = float(piv[-1, done - 1])
+    return _pivots(diag[done * _FD_BLOCK:].tolist(), itertools.repeat(b2), neg, d)
 
 
 def _grid(X: float, n: int, i0: int, i1: int) -> np.ndarray:
@@ -597,10 +591,11 @@ def _fd_diagonal(q_eval: Callable[[np.ndarray], np.ndarray], X: float, n: int, i
     ends.  A chunk at either end of the grid also takes the end point, so
     ``q_eval`` sees every grid point once.  R rows make max(1, round(R /
     ``_FD_CHUNK``)) chunks, halves down, that share the full blocks evenly,
-    larger shares first; the last also takes the rows after them.  A short
-    tail chunk would run the block loops as often as a full one, and a
-    chunk larger than the one before would not fit in the memory it freed
-    but page-fault on fresh pages.
+    larger shares first; the last also takes the rows after them, so every
+    chunk but the last is whole blocks of ``_blocked_pivots``.  A short tail
+    chunk would run the block loops as often as a full one, and a chunk
+    larger than the one before would not fit in the memory it freed but
+    page-fault on fresh pages.
     """
     off = 1 if bc == "D" else 0
     rows = n - 2 * off
@@ -634,19 +629,17 @@ def fd_inertia_count(
     point with a mirrored ghost-node row (first-order accurate there, which
     is fine because only the count is used).  The count is the number of
     negative pivots of the tridiagonal factorization, by Sylvester's law of
-    inertia.  The rows run in blocks of 128, all at once: each block starts
-    from the pivot that the chained maps of the blocks before it give (the
-    first from inf), so a start off by rounding leaves a count that is exact
-    for a matrix perturbed in the last row of each block (Kahan's inertia
-    argument); a start that disagrees with the block before it falls back to
-    the row-by-row loop.  An exactly zero pivot counts as nonnegative and
-    becomes ulp(0), in the blocks as in the loop, so a zero eigenvalue is not
-    counted.  The matrix is built and walked in equal chunks of about
-    ``_FD_CHUNK`` rows (``_fd_diagonal``, ``_stream_pivots``), each with its
-    own grid points, those of ``np.linspace(0, X, n_mesh + 2)``, and its own
-    ``q_eval`` call, so ``q_eval`` is called once per chunk and no array
+    inertia.  The matrix is built in equal chunks of about ``_FD_CHUNK``
+    rows (``_fd_diagonal``), each from its own points of ``np.linspace(0, X,
+    n_mesh + 2)`` and one ``q_eval`` call, and each chunk continues the
+    factorization from the count and the last pivot of the chunks before
+    it, in blocks of 128 rows at once (``_blocked_pivots``).  A block start
+    that disagrees with the block before it sends the rest of its chunk
+    through the row-by-row loop, and the next chunk runs in blocks again.
+    An exactly zero pivot counts as nonnegative and becomes ulp(0), in the
+    blocks as in the loop, so a zero eigenvalue is not counted.  No array
     grows with the mesh: at mesh 2e6 a call holds about 3 MB, where the
-    diagonal built whole took 100 MB.  At mesh 2e5 a call takes about 23 ns
+    diagonal built whole took 100 MB.  At mesh 2e5 a call takes about 20 ns
     per mesh point, against 60-70 ns with the diagonal built whole and
     80-110 ns for the count row by row (2 vCPUs, Xeon, numpy 2.4).
     """
@@ -659,7 +652,12 @@ def fd_inertia_count(
     with np.errstate(over="ignore", divide="ignore"):  # a step**-4 past the float range makes NaN pivots
         inv2 = 1.0 / _grid(X, n, 1, 2)[0] ** 2  # the step: point 1 less point 0, which is 0.0
         b2 = float(inv2 * inv2)
-    return _stream_pivots(_fd_diagonal(q_eval, X, n, inv2, bc), b2)
+    neg, d = 0, math.inf
+    for diag in _fd_diagonal(q_eval, X, n, inv2, bc):
+        neg, d = _blocked_pivots(diag, b2, neg, d)
+    if math.isnan(d):
+        raise NumericalError("finite-difference factorization produced NaN")
+    return neg
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from randkp import (
     well_ground_state,
 )
 from randkp.spectral import (
-    IntervalCounts, NumericalError, _certificates, _dn_certificate, _domain_count, _edge_matching, _pivots,
-    _piece_coefficients, _segment_counts, _span, _stream_pivots, _subdivide, _sweep,
+    IntervalCounts, NumericalError, _blocked_pivots, _certificates, _dn_certificate, _domain_count, _edge_matching,
+    _pivots, _piece_coefficients, _segment_counts, _span, _subdivide, _sweep,
 )
 
 from prufer_oracle import propagate_count
@@ -297,7 +297,7 @@ def test_blocked_inertia_equals_scalar_loop_at_every_length(n, scalar_rows):
         (rng.uniform(-3.0, 3.0, n), float(rng.uniform(0.1, 4.0))),  # pivots near 0 in every block
     ]:
         scalar_rows.clear()
-        assert _stream_pivots([diag], b2) == scalar_negative_pivots(diag, b2)
+        assert _blocked_pivots(diag, b2)[0] == scalar_negative_pivots(diag, b2)
         assert scalar_rows[-1] < B  # only the rows after the last full block go one by one
 
 
@@ -371,7 +371,7 @@ def test_blocked_inertia_zero_rule_restarts_the_rows_after_each_zero(scalar_rows
         d = a - b2 / d
         assert (d == 0.0) == (r in zero_rows)
         d = d or math.ulp(0.0)
-    assert _stream_pivots([diag], b2) == scalar_negative_pivots(diag, b2) == 0
+    assert _blocked_pivots(diag, b2)[0] == scalar_negative_pivots(diag, b2) == 0
     assert max(scalar_rows) < B  # the zero rule ran inside the blocks, not in a scalar fallback
 
 
@@ -392,23 +392,27 @@ def test_streamed_inertia_equals_scalar_loop_at_chunk_edges(blocks, monkeypatch,
     for n_mesh in (3 * chunk + 45, 4 * chunk - 45):  # a partial last block: after full blocks, or alone in one-block chunks
         for bc in "DN":
             check(q.evaluate, X, n_mesh, bc)
-    # an exact zero pivot ends the first chunk after pivots that round, as in
-    # test_blocked_inertia_zero_pivot_where_the_block_maps_round: the next chunk's first start
-    # is not always trusted.  Step 1 puts row r at x = r + 1 and gives b2 = 1.
+    # an exact zero pivot after pivots that round, as in
+    # test_blocked_inertia_zero_pivot_where_the_block_maps_round, ends the first chunk or the first
+    # block of the second.  Each chunk's first block starts from the carried pivot itself; a later
+    # block's chained start is not always trusted, and then the rest of its chunk goes one by one.
+    # Step 1 puts row r at x = r + 1 and gives b2 = 1.
     fell_back = 0
-    for base in rng.uniform(2.05, 4.0, 60).tolist():
-        qs = np.full(3 * chunk + 2, base - 2.0)
-        d = math.inf
-        for a in (2.0 + qs[1:chunk]).tolist():
-            d = a - 1.0 / d
-        qs[chunk] = 1.0 / d - 2.0
-        if 2.0 + qs[chunk] != 1.0 / d:  # the assembled row misses the zero pivot
-            continue
-        check(lambda x: qs[x.astype(int)], 3.0 * chunk + 1.0, 3 * chunk, "D")
-        # every start trusted, or the rows go one by one from the second chunk's first start on
-        assert scalar_rows in ([0, 0, 0], [0, chunk, chunk])
-        fell_back += scalar_rows[1] > 0
-    assert fell_back
+    for zero_row in (chunk - 1, chunk + B - 1):
+        for base in rng.uniform(2.05, 4.0, 60).tolist():
+            qs = np.full(3 * chunk + 2, base - 2.0)
+            d = math.inf
+            for a in (2.0 + qs[1:zero_row + 1]).tolist():
+                d = a - 1.0 / d
+            qs[zero_row + 1] = 1.0 / d - 2.0
+            if 2.0 + qs[zero_row + 1] != 1.0 / d:  # the assembled row misses the zero pivot
+                continue
+            check(lambda x: qs[x.astype(int)], 3.0 * chunk + 1.0, 3 * chunk, "D")
+            # at most the rest of the second chunk after its first block goes one by one; the third
+            # chunk is counted in the blocks again
+            assert scalar_rows[0] == scalar_rows[2] == 0 and scalar_rows[1] <= chunk - B
+            fell_back += scalar_rows[1] > 0
+    assert fell_back or blocks == 1  # a one-block chunk has no junction to distrust
     # the 1e30 wall of test_blocked_inertia_at_astronomical_diagonals, its first row starting a chunk
     wall = PiecewisePotential(np.array([0.0, 3.0, 4.0, 10.0]), np.array([-4.0, 1e30, -4.0]))
     for bc in "DN":
@@ -457,15 +461,40 @@ def test_blocked_inertia_exact_zero_pivots_at_block_edges(n, zero_row, scalar_ro
     # exact zero pivot, nonnegative and then ulp(0), and every block map is exact
     assert zero_row % 3 == 1
     diag, b2 = np.ones(n), 1.0
-    assert _stream_pivots([diag], b2) == scalar_negative_pivots(diag, b2) == n // 3
+    assert _blocked_pivots(diag, b2)[0] == scalar_negative_pivots(diag, b2) == n // 3
     # a zero after pivots that converge to 2: 2.5 - 1/2 = 0 exactly, at the same rows
     diag = np.full(n, 2.5)
     diag[zero_row] = 0.5
     expected = scalar_negative_pivots(diag, 1.0)
     assert expected == (0 if zero_row == n - 1 else 1)
     scalar_rows.clear()
-    assert _stream_pivots([diag], 1.0) == expected
+    assert _blocked_pivots(diag, 1.0)[0] == expected
     assert max(scalar_rows) < B  # the zero rule ran inside the blocks, not in a scalar fallback
+
+
+@pytest.mark.parametrize("b2", [1e-320, 1.0, 1.6e13])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 7 * B + 45])
+def test_blocked_pivots_continue_a_factorization_as_pivots_does(n, b2):
+    # from any carried (neg, d), _blocked_pivots gives the count of _pivots and a last pivot of the
+    # same sign and NaN-ness, also with exact zero pivots at block edges: a row whose diagonal is
+    # b2 / (the pivot before it) has a pivot of exactly 0, as in
+    # test_blocked_inertia_exact_zero_pivots_at_block_edges
+    rng = np.random.default_rng(n)
+    c = math.sqrt(b2)
+    zero_rows = {B - 1, B, 2 * B - 1, 2 * B, 5 * B - 1, n - 1}
+    for d0 in (math.inf, -math.inf, math.ulp(0.0), -1e-3, 4e6):  # 4e6: an FD pivot at b2 = 1.6e13
+        for base in (c * (2.0 + rng.uniform(-1e-3, 1e-3, n)), c * rng.uniform(-3.0, 3.0, n)):
+            diag, d = base.copy(), d0
+            for r, a in enumerate(diag.tolist()):
+                if r in zero_rows and math.isfinite(b2 / d):
+                    diag[r] = a = b2 / d
+                    assert a - b2 / d == 0.0
+                d = a - b2 / d
+                d = d or math.ulp(0.0)
+            neg, last = _pivots(diag.tolist(), itertools.repeat(b2), 7, d0)
+            got_neg, got_last = _blocked_pivots(diag, b2, 7, d0)
+            assert got_neg == neg
+            assert (got_last < 0.0, math.isnan(got_last)) == (last < 0.0, math.isnan(last))
 
 
 def test_blocked_inertia_zero_pivot_where_the_block_maps_round():
@@ -479,7 +508,7 @@ def test_blocked_inertia_zero_pivot_where_the_block_maps_round():
         for a in diag[:B - 1].tolist():
             d = a - 1.0 / d
         diag[B - 1] = 1.0 / d
-        assert _stream_pivots([diag], 1.0) == scalar_negative_pivots(diag, 1.0) == 1
+        assert _blocked_pivots(diag, 1.0)[0] == scalar_negative_pivots(diag, 1.0) == 1
 
 
 def test_blocked_inertia_zero_rule_with_a_subnormal_coupling():
@@ -487,7 +516,7 @@ def test_blocked_inertia_zero_rule_with_a_subnormal_coupling():
     b2 = 1e-320
     diag = np.ones(3 * B)
     diag[B - 2], diag[B - 1] = b2, 3000.0  # pivots 1, ..., 1, exactly 0, then 3000 - 2024 > 0
-    assert _stream_pivots([diag], b2) == scalar_negative_pivots(diag, b2) == 0
+    assert _blocked_pivots(diag, b2)[0] == scalar_negative_pivots(diag, b2) == 0
 
 
 def test_blocked_inertia_at_astronomical_diagonals(scalar_rows):
@@ -502,11 +531,11 @@ def test_blocked_inertia_at_astronomical_diagonals(scalar_rows):
         n = int(rng.integers(1, 40 * B))
         diag = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
         for b2 in (1e-12, 1.0, 1.6e13, 1e40):
-            assert _stream_pivots([diag], b2) == scalar_negative_pivots(diag, b2)
+            assert _blocked_pivots(diag, b2)[0] == scalar_negative_pivots(diag, b2)
     for v in (1e300, -1e300):  # one extreme run in the middle of FD rows
         diag = np.full(9 * B, 2e8)
         diag[4 * B - 7:5 * B + 3] = v
-        assert _stream_pivots([diag], 1e16) == scalar_negative_pivots(diag, 1e16)
+        assert _blocked_pivots(diag, 1e16)[0] == scalar_negative_pivots(diag, 1e16)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +738,17 @@ def test_exact_zero_pivot_is_not_negative():
     assert _pivots([1.0], [1.0], *_pivots([1.0, 1.0], [0.0, 1.0])) == _pivots([1.0, 1.0, 1.0], [0.0, 1.0, 1.0])
     # q == 0 on three pieces under N-N: the constant function is an eigenvector at exactly 0
     assert count_negative_exact(PiecewisePotential(np.array([0.0, 1.0, 6.0, 7.0]), np.zeros(3)), "N", "N").n_lo == 0
+
+
+def test_walk_close_takes_its_last_pivot_by_the_zero_rule_and_rejects_nan():
+    # state (cut counts, negative pivots, last pivot, left half, squared coupling); the closing
+    # segment adds its count and right half: a last pivot of exactly 0 is no negative mode
+    walk = spectral._Walk(3)
+    walk.state = [(2, 1, 1.0, 1.0, 1.0), (2, 1, 1.0, 0.5, 1.0), (0, 0, math.inf, math.inf, math.inf)]
+    with pytest.raises(NumericalError, match="NaN"):  # inf - inf/inf
+        walk.close((np.array([[3], [3], [0]]), np.zeros((3, 1))))
+    walk.state = walk.state[:2]
+    assert walk.close((np.array([[3], [3]]), np.zeros((2, 1)))) == [6, 7]
 
 
 def pivot_row(rng, kind, n):
