@@ -7,7 +7,7 @@ the resolved configuration, so re-running with them reproduces the data
 rows; ``generate`` writes an ``l=... h=... X=...`` header, then one gap per line.
 
 Exit codes: 0 success, 2 usage/config error, 3 input-data error,
-4 numerical failure.
+4 numerical failure or an input too large for memory.
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ def cmd_borderline(resolved: Dict[str, object]) -> int:
         )
         if any(report.unconverged):
             sys.stderr.write(f"warning: multiplier {mult:g}: {','.join(map(str, report.unconverged))} of "
-                             f"{cfg.trials} certificates per checkpoint are wider than 1 at refine={cfg.refine}\n")
+                             f"{cfg.trials} whole-domain certificates per checkpoint are wider than 1 "
+                             f"at refine={cfg.refine}\n")
     return 0
 
 
@@ -356,6 +357,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (NumericalError, CoverageError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return 4
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        sys.stderr.write(f"out of memory: {str(exc) or 'the input is too large to hold'}\n")
         return 4
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

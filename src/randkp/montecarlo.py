@@ -17,7 +17,7 @@ lets trials run in parallel without sharing state.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Tuple
@@ -86,12 +86,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Per-checkpoint certificates plus a small realization summary."""
+    """Per-checkpoint certificates plus a small realization summary.
+
+    ``converged`` holds, per checkpoint, whether the whole-domain
+    certificate settled within the refinement budget, in either mode: a
+    bracket-DN certificate is read off that same level and keeps its own
+    flag set.
+    """
 
     index: int
     certificates: Tuple[CountCertificate, ...]
     k_counts: Tuple[int, ...]
     max_gaps: Tuple[float, ...]
+    converged: Tuple[bool, ...] = ()
 
     @property
     def counts(self) -> Tuple[int, ...]:
@@ -108,7 +115,7 @@ class GrowthReport:
     max_counts: Tuple[int, ...]
     growing_fraction: float
     trials: Tuple[TrialResult, ...]
-    unconverged: Tuple[int, ...]  # per checkpoint, the certificates flagged unconverged
+    unconverged: Tuple[int, ...]  # per checkpoint, the trials whose whole-domain level did not settle
 
 
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -133,18 +140,23 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         certificates=tuple(certs),
         k_counts=tuple(k_counts),
         max_gaps=tuple(max_gaps),
+        converged=tuple(r[0].converged for r in records),
     )
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
     """All trials plus per-checkpoint aggregates and the growth classification.
 
-    Trials are independent; with ``workers > 1`` they run in at most
-    ``cfg.trials`` separate processes and ``pool.map`` returns them in index
-    order, so the report does not depend on completion order.
+    Trials are independent; with ``workers > 1`` they run in separate
+    processes, at most ``cfg.trials`` and at most the CPUs this process may
+    run on (a pool starts all its workers at once), and ``pool.map`` returns
+    them in index order, so the report does not depend on completion order.
     """
-    workers = min(workers, cfg.trials)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cfg.trials, cpus)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run imports it
+
         chunksize = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(run_trial, repeat(cfg), range(cfg.trials), chunksize=chunksize))
@@ -166,7 +178,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> GrowthReport:
         max_counts=tuple(int(v) for v in maxima),
         growing_fraction=growing_fraction,
         trials=tuple(trials),
-        unconverged=tuple(sum(not c.converged for c in certs) for certs in zip(*(t.certificates for t in trials))),
+        unconverged=tuple(sum(not c for c in flags) for flags in zip(*(t.converged for t in trials))),
     )
 
 

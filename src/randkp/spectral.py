@@ -303,24 +303,12 @@ def _sweep(lengths, envelopes, seg_idx):
 
 
 def _end_rule(zeros, u, du, bc: str):
-    """Counts from a column's zeros and end value under a ``bc`` right end.
+    """Counts from a column's zeros and end value under a ``bc`` right end, as int64.
 
     A zero at a Dirichlet end means 0 is itself an eigenvalue, excluded from
     the (strictly) negative count; a Neumann end adds one when u*u' < 0.
     """
-    return zeros - (u == 0.0) if bc == "D" else zeros + (u * du < 0.0)
-
-
-def _segment_counts(sweep):
-    """Per-segment ``(d, n)`` of a ``_sweep``, each of shape (envelopes, segments).
-
-    ``d`` counts each segment with Dirichlet ends (column 1), ``n`` with
-    Neumann ends (column 0).
-    """
-    zeros, u, du = sweep[:3]
-    d = _end_rule(zeros[:, 1], u[:, 1], du[:, 1], "D")
-    n = _end_rule(zeros[:, 0], u[:, 0], du[:, 0], "N")
-    return d.astype(np.int64), n.astype(np.int64)
+    return (zeros - (u == 0.0) if bc == "D" else zeros + (u * du < 0.0)).astype(np.int64)
 
 
 def _pivots(diag, b2, neg: int = 0, d: float = math.inf):
@@ -345,127 +333,123 @@ _ROUND_ROWS = 384  # fewer unsettled rows go through _pivots: below it, 4 rounds
 _ROUNDS = 12  # benchmark realizations' cuts settle in 3-12 rounds; strongly coupled rows settle one a round
 
 
-def _settle(diag, b2, negs, ds):
-    """``_pivots`` on each row of ``diag``/``b2``, from that row's ``(neg, d)`` in ``negs``/``ds``: a list of ``(neg, d)``.
+def _settle(diag: np.ndarray, b2: np.ndarray, neg: int = 0, d: float = math.inf):
+    """``_pivots(diag, b2, neg, d)`` in vectorized rounds: ``(negative pivots, last pivot)``.
 
-    The leading pivots settle in vectorized rounds over all rows at once.  A
-    round recomputes every pivot from the last round's pivot before it (the
-    start pivot for the first), with ``_pivots``' zero rule.  When a round
+    A round recomputes every pivot from the last round's pivot before it
+    (``d`` for the first), with ``_pivots``' zero rule.  When a round
     reproduces the last round's first k pivots exactly, those were exact, so
     its first k + 1 are the scalar loop's own, bit for bit: each round
     settles at least one more pivot, and weakly coupled rows (cuts between
     segments, coupled by exp(-kappa*len)) settle in a few rounds.  A NaN
     never compares equal, so no pivot after one settles.  Rounds run while
-    at least ``_ROUND_ROWS`` pivots of a row are unsettled, at most
-    ``_ROUNDS`` times; ``_pivots`` continues each row from its first
-    unsettled pivot, so a short row never enters a round.
+    at least ``_ROUND_ROWS`` pivots are unsettled, at most ``_ROUNDS``
+    times; ``_pivots`` continues from the first unsettled pivot, so a short
+    row never enters a round.
     """
-    n = diag.shape[1]
-    if n < _ROUND_ROWS:
-        return [_pivots(*args) for args in zip(diag.tolist(), b2.tolist(), negs, ds)]
-    cur, prev = diag, np.empty_like(diag)
-    prev[:, 0] = ds
-    with np.errstate(all="ignore"):
-        for _ in range(_ROUNDS):
-            prev[:, 1:] = cur[:, :-1]
-            new = diag - b2 / prev
-            if not new.all():
-                new[new == 0.0] = math.ulp(0.0)
-            agree = new == cur
-            cur = new
-            settled = np.where(agree.all(axis=1), n, agree.argmin(axis=1) + 1)
-            if n - settled.min() < _ROUND_ROWS:
-                break
-    return [_pivots(diag[e, k:].tolist(), b2[e, k:].tolist(),
-                    negs[e] + int(np.count_nonzero(cur[e, :k] < 0.0)), float(cur[e, k - 1]))
-            for e, k in enumerate(settled.tolist())]
+    n, k = len(diag), 0
+    if n >= _ROUND_ROWS:
+        cur, prev = diag, np.empty_like(diag)
+        prev[0] = d
+        with np.errstate(all="ignore"):
+            for _ in range(_ROUNDS):
+                prev[1:] = cur[:-1]
+                new = diag - b2 / prev
+                if not new.all():
+                    new[new == 0.0] = math.ulp(0.0)
+                agree = new == cur
+                cur = new
+                k = n if agree.all() else int(agree.argmin()) + 1
+                if n - k < _ROUND_ROWS:
+                    break
+        neg, d = neg + int(np.count_nonzero(cur[:k] < 0.0)), float(cur[k - 1])
+    return _pivots(diag[k:].tolist(), b2[k:].tolist(), neg, d)
 
 
-def _terms(sweep, lead: Optional[int], end: Optional[str]):
+def _terms(sweep, left: Optional[str], right: Optional[str]):
     """The interface walk's terms for consecutive segments of a ``_sweep``, each (envelopes, segments).
 
     Every cut is Dirichlet on both sides.  A segment gives its D count, the
     right half m11/m12 = (u0/u1)*exp(g0 - g1) of the cut before it, the left
     half m22/m12 = du1/u1 of the cut after it and the squared coupling
-    (-1/m12)^2 = (exp(-kd - g1)/u1)^2.  ``lead`` is the column that meets the
-    domain's left end condition when the first segment is the domain's first
-    (else None); that segment has no cut before it, so its right half is
-    +inf: its pivot is +inf and the next reduces to a - b/inf = a.  ``end``
-    is None for segments with a cut after them, giving ``(cut, left, right,
-    b2)``; for the domain's last segment it is the right end condition, which
-    sets its count and, when Neumann, its right half m21/m22 =
-    (du0/du1)*exp(g0 - g1), the Schur complement of the end node, giving
-    ``(cut, right)``.
+    (-1/m12)^2 = (exp(-kd - g1)/u1)^2.  ``left`` is the domain's left end
+    condition when the first segment is the domain's first (else None): that
+    segment is counted on the column that starts under it (column 0 for "N",
+    1 for "D") and has no cut before it, so its right half is +inf: its
+    pivot is +inf and the next reduces to a - b/inf = a.  ``right`` is None
+    for segments with a cut after them, giving ``(cut, left halves, right
+    halves, b2)``; for the domain's last segment it is the right end
+    condition, which sets its count and, when Neumann, its right half
+    m21/m22 = (du0/du1)*exp(g0 - g1), the Schur complement of the end node,
+    giving ``(cut, right halves)``.
     """
     zeros, u, du, g, kd = sweep
     z, uu, dd = zeros[:, 1], u[:, 1], du[:, 1]
-    first = 0 if lead is None else 1
-    if lead is not None:
+    first = 0 if left is None else 1
+    if left == "N":
         z, uu, dd = z.copy(), uu.copy(), dd.copy()
-        z[:, 0], uu[:, 0], dd[:, 0] = zeros[:, lead, 0], u[:, lead, 0], du[:, lead, 0]
-    ends = du if end == "N" else u
+        z[:, 0], uu[:, 0], dd[:, 0] = zeros[:, 0, 0], u[:, 0, 0], du[:, 0, 0]
+    ends = du if right == "N" else u
     num, den = ends[:, 0, first:], ends[:, 1, first:]
-    if not (den.all() and (end is not None or uu.all())):
+    if not (den.all() and (right is not None or uu.all())):
         raise NumericalError("a segment has an eigenvalue at exactly 0: it has no Dirichlet-to-Neumann map")
-    head = (len(z), first)  # the lead segment's column
-    right = np.concatenate([np.full(head, math.inf), num / den * np.exp(g[:, 0, first:] - g[:, 1, first:])], axis=1)
-    if end is not None:
-        return _end_rule(z, uu, dd, end).astype(np.int64), right
+    head = (len(z), first)  # the domain's first segment's column
+    halves = np.concatenate([np.full(head, math.inf), num / den * np.exp(g[:, 0, first:] - g[:, 1, first:])], axis=1)
+    if right is not None:
+        return _end_rule(z, uu, dd, right), halves
     b2 = np.concatenate([np.zeros(head), np.square(np.exp(-kd[:, first:] - g[:, 1, first:]) / den)], axis=1)
-    return _end_rule(z, uu, dd, "D").astype(np.int64), dd / uu, right, b2
+    return _end_rule(z, uu, dd, "D"), dd / uu, halves, b2
 
 
 class _Walk:
     """N[0, p] = sum_k N_D(segment k) + neg(S), walked segment by segment and carried across blocks.
 
-    ``state`` holds, per envelope, the summed D counts of the segments taken
-    so far (the first under the left end condition), the negative pivots of
-    S on the cuts between them, the last pivot, and the left half and squared
-    coupling that the last segment gives the next cut.  By Sylvester's law
-    the sum of the first two is the count with a Dirichlet cut at the last
-    segment's end.  Each block's pivots settle in vectorized rounds that
-    give the scalar loop's pivots bit for bit (``_settle``), so a long
-    block takes a few numpy passes, not a Python step per cut.
+    ``state`` holds, per envelope, the count so far: the summed D counts of
+    the segments taken (the first under the left end condition) plus the
+    negative pivots of S on the cuts between them, which by Sylvester's law
+    is the count with a Dirichlet cut at the last segment's end.  Next to it
+    are the last pivot, and the left half and squared coupling that the last
+    segment gives the next cut.  Each block's pivots settle in vectorized
+    rounds that give the scalar loop's pivots bit for bit (``_settle``), so
+    a long block takes a few numpy passes, not a Python step per cut.
     """
 
     def __init__(self, envelopes: int):
-        self.state = [(0, 0, math.inf, 0.0, 0.0)] * envelopes
+        self.state = [(0, math.inf, 0.0, 0.0)] * envelopes
 
     def feed(self, terms):
-        """Take the next segments (``_terms`` with no end) into ``state``.
+        """Take the next segments (``_terms`` with no right end) into ``state``.
 
         Row i of S here is the cut before segment i: the left half and the
         coupling that the segment before it gives (carried in ``state`` for
-        the first) and segment i's right half.  ``_settle`` factors the rows
-        of both envelopes at once.
+        the first) and segment i's right half.  ``_settle`` continues each
+        envelope's factorization from its count and last pivot.
         """
         cut, left, right, b2 = terms
-        n_cut, neg, d, left0, b0 = zip(*self.state)
+        count, d, left0, b0 = zip(*self.state)
         diag = np.concatenate([np.array(left0)[:, None], left[:, :-1]], axis=1) + right
         b2s = np.concatenate([np.array(b0)[:, None], b2[:, :-1]], axis=1)
-        pivots = _settle(diag, b2s, neg, d)
-        self.state = [(c + k, *p, lt, bt) for c, k, p, lt, bt in
-                      zip(n_cut, cut.sum(axis=1).tolist(), pivots, left[:, -1].tolist(), b2[:, -1].tolist())]
+        self.state = [(*_settle(a, b, n + c, p), lt, bt) for a, b, n, c, p, lt, bt in
+                      zip(diag, b2s, count, cut.sum(axis=1).tolist(), d, left[:, -1].tolist(), b2[:, -1].tolist())]
 
     def close(self, terms):
-        """Per-envelope counts of the domain that ends with the segment of ``terms`` (``end`` set) after ``state``."""
+        """Per-envelope counts of the domain that ends with the segment of ``terms`` (right end set) after ``state``."""
         out = []
-        for (n_cut, neg, d, left0, b0), c, r in zip(self.state, terms[0][:, 0].tolist(), terms[1][:, 0].tolist()):
-            neg, d = _pivots([left0 + r], [b0], neg, d)
+        for (count, d, left0, b0), c, r in zip(self.state, terms[0][:, 0].tolist(), terms[1][:, 0].tolist()):
+            neg, d = _pivots([left0 + r], [b0], count + c, d)
             if math.isnan(d):
                 raise NumericalError("interface factorization produced NaN")
-            out.append(n_cut + c + neg)
+            out.append(neg)
         return out
 
 
-def _domain_count(zeros, u, du, g, kd, bc_left: str, bc_right: str) -> int:
-    """Count on one envelope's segments (``_sweep`` arrays of shape (2, segments)): one walk, then its last segment."""
-    sweep = [a[None] for a in (zeros, u, du, g, kd)]
-    lead, m = (0 if bc_left == "N" else 1), zeros.shape[-1] - 1
+def _domain_count(sweep, left: str, right: str) -> int:
+    """Count on a one-envelope ``_sweep``'s segments with ``left``/``right`` ends: one walk, then the last segment."""
+    m = sweep[0].shape[-1] - 1
     walk = _Walk(1)
     if m:
-        walk.feed(_terms([a[..., :m] for a in sweep], lead, None))
-    return walk.close(_terms([a[..., m:] for a in sweep], None if m else lead, bc_right))[0]
+        walk.feed(_terms([a[..., :m] for a in sweep], left, None))
+    return walk.close(_terms([a[..., m:] for a in sweep], None if m else left, right))[0]
 
 
 def count_negative_exact(
@@ -481,7 +465,7 @@ def count_negative_exact(
     _check_bc(bc_right)
     v = q.values
     cuts = np.append(np.flatnonzero(np.append(True, v[1:] != v[:-1])), len(v))
-    n = _domain_count(*(a[0] for a in _sweep(q.lengths, (v,), cuts)), bc_left, bc_right)
+    n = _domain_count(_sweep(q.lengths, (v,), cuts), bc_left, bc_right)
     return CountCertificate(n_lo=n, n_hi=n)
 
 
@@ -739,22 +723,23 @@ def _level(real: PotentialRealization, pert: Perturbation, xs, s: int, bc: str):
     """
     c = real.centers
     per = max(1, _BLOCK_PIECES // (s + 2 * max(1, s // _BUMP_SUBDIV_RATIO)))
-    lead = 0 if bc == "N" else 1
     walk, parts, out, j0 = _Walk(2), [], [], 0
     for k, x in zip(np.searchsorted(c, xs, side="left").tolist(), xs):
         while True:
             j1 = min(j0 + per, k)
             m = j1 - j0
             sweep = _sweep(*_subdivide(*_span(real, j0, x if j1 == k else c[j1 - 1]), pert, s))
-            d, n = _segment_counts(sweep)
-            d0, n1 = _narrow(d[0]), _narrow(n[1])  # the per-interval counts, kept narrow across blocks
+            zeros, u, du = sweep[:3]
+            # the per-interval counts, shallow D-D (column 1) and deep N-N (column 0), kept narrow across blocks
+            d0 = _narrow(_end_rule(zeros[0, 1], u[0, 1], du[0, 1], "D"))
+            n1 = _narrow(_end_rule(zeros[1, 0], u[1, 0], du[1, 0], "N"))
             if m:
-                walk.feed(_terms([a[..., :m] for a in sweep], lead if j0 == 0 else None, None))
+                walk.feed(_terms([a[..., :m] for a in sweep], bc if j0 == 0 else None, None))
                 parts.append((d0[:m], n1[:m]))
             j0 = j1
             if j1 == k:
                 break
-        counts = walk.close(_terms([a[..., m:] for a in sweep], lead if k == 0 else None, bc))
+        counts = walk.close(_terms([a[..., m:] for a in sweep], bc if k == 0 else None, bc))
         out.append((counts, tuple(zip(*parts, (d0[m:], n1[m:])))))  # (D parts, N parts)
     return out
 

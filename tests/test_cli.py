@@ -239,6 +239,23 @@ def test_count_too_large_to_count_exactly_is_a_numerical_failure(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("callee, args", [
+    ("bernoulli_lattice", ["generate", "dist=bernoulli", "p=0.5", "h=1", "X=1e12", "seed=1"]),
+    ("estimate_expected_count", ["expect", "dist=exp", "eta=1", "ws=1", "samples=1000000000000"]),
+], ids=["generate", "expect"])
+def test_input_too_large_for_memory_exits_4(tmp_path, capsys, monkeypatch, callee, args):
+    # the callee fails as numpy does when the input cannot be held; no test really allocates it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli, callee, out_of_memory)
+    out = tmp_path / "o.txt"
+    code, _, err = run(capsys, *args, f"out={out}")
+    assert code == 4
+    assert err == "out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, named", [
     (["count", "W=constant", "w=1", "C=3"], "['C']"),
     (["count", "W=logpower", "C=20", "s=2", "beta=1"], "['beta']"),
@@ -373,17 +390,19 @@ def test_borderline_separation_and_files(tmp_path, capsys):
 
 
 def test_borderline_reports_unconverged_certificates_on_stderr(tmp_path, capsys):
-    # one line for each multiplier with a certificate still wider than 1 at the budget, none for
-    # the others; the CSV rows are the same either way
+    # one line for each multiplier with a whole-domain certificate still wider than 1 at the budget,
+    # none for the others; the CSV rows are the same either way.  A bracket-DN run reads its pair off
+    # the same whole-domain level, so it reports the same line
     args = ["borderline", "dist=exp", "eta=1", "l=0.25", "h=100", "multipliers=0.25,64", "Xs=100,300",
             "trials=3", "seed=2", "workers=1"]
+    line = "warning: multiplier 64: 3,3 of 3 whole-domain certificates per checkpoint are wider than 1 at refine=4\n"
     code, _, err = run(capsys, *args, f"out={tmp_path}/w")
     assert code == 0
-    assert err == "warning: multiplier 64: 3,3 of 3 certificates per checkpoint are wider than 1 at refine=4\n"
+    assert err == line
     trials = [row.split(",") for row in data_rows((tmp_path / "w_m64_trials.csv").read_text())[1:]]
     assert sum(int(row[3]) - int(row[2]) > 1 for row in trials) == 6
     code, _, err = run(capsys, *args, "mode=bracket-DN", f"out={tmp_path}/dn")
-    assert code == 0 and err == ""
+    assert code == 0 and err == line
 
 
 def test_borderline_rerun_byte_identical(tmp_path, capsys):

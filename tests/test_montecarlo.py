@@ -1,7 +1,11 @@
 """Trial harness: determinism, oracles, aggregation, growth classification."""
 
+import concurrent.futures
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from randkp import (
 from randkp import montecarlo
 
 PI = math.pi
+SRC = os.path.dirname(os.path.dirname(montecarlo.__file__))
 EXP1 = GapDistribution.exponential(1.0)
 
 
@@ -112,13 +117,17 @@ def test_bracket_mode_contains_whole_domain():
 @pytest.mark.parametrize("refine", [4, 16])
 def test_report_counts_unconverged_certificates_per_checkpoint(refine):
     # at multiplier 64 a level-4 whole-domain bracket is still wider than 1; the D/N pair is
-    # flagged converged on any level
+    # flagged converged on any level, and the report counts the whole-domain level it shares
     cfg = small_cfg(pert=Perturbation.log_power(64 * PI**2, 2.0), h=100.0, checkpoints=(100.0, 300.0),
                     trials=3, master_seed=2, refine=refine)
     rep = run_experiment(cfg)
     assert rep.unconverged == tuple(sum(c.width > 1 for c in certs) for certs in zip(*(t.certificates for t in rep.trials)))
     assert any(rep.unconverged)
-    assert run_experiment(dataclasses.replace(cfg, bc_mode="bracket-DN")).unconverged == (0, 0)
+    assert all(t.converged == tuple(c.converged for c in t.certificates) for t in rep.trials)
+    dn = run_experiment(dataclasses.replace(cfg, bc_mode="bracket-DN"))
+    assert dn.unconverged == rep.unconverged
+    assert all(c.converged for t in dn.trials for c in t.certificates)
+    assert [t.converged for t in dn.trials] == [t.converged for t in rep.trials]
 
 
 def test_single_trial_report_is_the_trial():
@@ -254,8 +263,9 @@ def test_refine_budget_validated():
         small_cfg(refine=0)
 
 
-def test_pool_is_capped_at_trial_count(monkeypatch):
-    # a stand-in pool records its size and maps serially, so no process is started
+def serial_pool(monkeypatch, cpus):
+    """A stand-in pool that records its size and maps serially, so no process is started, on
+    ``cpus`` usable CPUs (None: a platform with no affinity mask); returns the recorded sizes."""
     sizes = []
 
     class SerialPool:
@@ -271,12 +281,44 @@ def test_pool_is_capped_at_trial_count(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return sizes
+
+
+def test_pool_is_capped_at_trial_count(monkeypatch):
+    sizes = serial_pool(monkeypatch, 8)
     cfg = small_cfg(trials=2, checkpoints=(100.0, 200.0))
     assert run_experiment(cfg, workers=3).trials == run_experiment(cfg, workers=1).trials
     assert sizes == [2]
     run_experiment(small_cfg(trials=1, checkpoints=(100.0,)), workers=3)
     assert sizes == [2]  # one trial runs in this process
+
+
+def test_pool_is_capped_at_usable_cpus(monkeypatch):
+    # a pool starts all its workers at once, so workers=5000 must not ask for 5000 processes
+    cfg = small_cfg(trials=5, checkpoints=(100.0,))
+    serial = run_experiment(cfg, workers=1).trials
+    sizes = serial_pool(monkeypatch, 3)
+    assert run_experiment(cfg, workers=5000).trials == serial
+    assert sizes == [3]
+    # where there is no affinity mask, the CPU count caps it, and an unknown count means one process
+    monkeypatch.undo()
+    sizes = serial_pool(monkeypatch, None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_experiment(cfg, workers=5000).trials == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_experiment(cfg, workers=5000).trials == serial
+    assert sizes == [2]
+
+
+def test_importing_the_cli_does_not_import_the_process_pool():
+    # only a pooled run imports concurrent.futures; count, generate, well and expect never start a pool
+    code = "import sys, randkp, randkp.cli; assert 'concurrent.futures' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=SRC))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from randkp import (
 )
 from randkp.spectral import (
     IntervalCounts, NumericalError, _blocked_pivots, _certificates, _dn_certificate, _domain_count, _edge_matching,
-    _pivots, _piece_coefficients, _segment_counts, _span, _subdivide, _sweep,
+    _end_rule, _pivots, _piece_coefficients, _span, _subdivide, _sweep,
 )
 
 from prufer_oracle import propagate_count
@@ -56,6 +56,12 @@ def levels(real, pert, refine):
         if s >= refine:
             return
         s = min(2 * s, refine)
+
+
+def segment_counts(sweep):
+    """Per-segment ``(d, n)`` of a ``_sweep``, each (envelopes, segments): D-D ends on column 1, N-N on column 0."""
+    zeros, u, du = sweep[:3]
+    return _end_rule(zeros[:, 1], u[:, 1], du[:, 1], "D"), _end_rule(zeros[:, 0], u[:, 0], du[:, 0], "N")
 
 
 def random_piecewise(rng, max_pieces=50, x_lo=5.0, x_hi=80.0, q_max=10.0):
@@ -674,7 +680,7 @@ def test_segment_sweep_equals_scalar_counter(gaps, l, reach_share, refine):
     for mult in (0.5, 4.0):
         pert = Perturbation.log_power(mult * PI**2, 2.0)
         for lengths, (q_shallow, q_deep), seg_idx in levels(real, pert, refine):
-            d, n = _segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
+            d, n = segment_counts(_sweep(lengths, (q_shallow, q_deep), seg_idx))
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc, got in (("D", d[e]), ("N", n[e])):
                     expected = [
@@ -703,7 +709,7 @@ def test_whole_domain_count_equals_scalar_counter(gaps, l, h, reach_share, refin
             sweep = _sweep(lengths, (q_shallow, q_deep), seg_idx)
             for e, values in enumerate((q_shallow, q_deep)):
                 for bc in ("D", "N"):
-                    got = _domain_count(*(a[e] for a in sweep), bc, bc)
+                    got = _domain_count([a[e:e + 1] for a in sweep], bc, bc)
                     assert got == propagate_count(lengths, values, bc, bc)
 
 
@@ -741,10 +747,10 @@ def test_exact_zero_pivot_is_not_negative():
 
 
 def test_walk_close_takes_its_last_pivot_by_the_zero_rule_and_rejects_nan():
-    # state (cut counts, negative pivots, last pivot, left half, squared coupling); the closing
-    # segment adds its count and right half: a last pivot of exactly 0 is no negative mode
+    # state (count, last pivot, left half, squared coupling); the closing segment adds its
+    # count and right half: a last pivot of exactly 0 is no negative mode
     walk = spectral._Walk(3)
-    walk.state = [(2, 1, 1.0, 1.0, 1.0), (2, 1, 1.0, 0.5, 1.0), (0, 0, math.inf, math.inf, math.inf)]
+    walk.state = [(3, 1.0, 1.0, 1.0), (3, 1.0, 0.5, 1.0), (0, math.inf, math.inf, math.inf)]
     with pytest.raises(NumericalError, match="NaN"):  # inf - inf/inf
         walk.close((np.array([[3], [3], [0]]), np.zeros((3, 1))))
     walk.state = walk.state[:2]
@@ -784,15 +790,15 @@ def pivot_key(neg, d):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_settled_pivots_equal_the_scalar_loop(kinds, n, starts, round_rows, seed):
-    # two envelopes of rows, each of its own kind, so they settle in different rounds (the chains
-    # never within the cap, so _pivots continues them); the counts and the last pivot's bits must
-    # be the scalar loop's, from the starts (neg, d) as the walk carries them
+    # two rows, each of its own kind, so they settle in different rounds (the chains never within
+    # the cap, so _pivots continues them); the counts and the last pivot's bits must be the scalar
+    # loop's, from the starts (neg, d) as the walk carries them
     rng = np.random.default_rng(seed)
     diag, b2 = (np.array(a) for a in zip(*(pivot_row(rng, kind, n) for kind in kinds)))
     negs = (0, 5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_ROUND_ROWS", round_rows)
-        got = spectral._settle(diag, b2, negs, starts)
+        got = [spectral._settle(diag[e], b2[e], negs[e], starts[e]) for e in range(2)]
     expected = [_pivots(diag[e].tolist(), b2[e].tolist(), negs[e], starts[e]) for e in range(2)]
     assert [pivot_key(*p) for p in got] == [pivot_key(*p) for p in expected]
 
@@ -800,14 +806,14 @@ def test_settled_pivots_equal_the_scalar_loop(kinds, n, starts, round_rows, seed
 def well_then_barrier(ts, width):
     """One segment per t: q = -1 on a length t, then q = w**2 on width/w, with w = -u'/u of the
     Neumann column leaving the well as ``_sweep`` normalizes it, so that column enters the
-    barrier on its decaying branch.  Returns (lengths, values, the sweep of envelope 0)."""
+    barrier on its decaying branch.  Returns (lengths, values, the one-envelope sweep)."""
     _, _, _, c11, _, c21 = _piece_coefficients(ts, np.full_like(ts, -1.0))
     r = np.sqrt(c11 * c11 + c21 * c21)
     w = -(c21 / r) / (c11 / r)
     lengths = np.column_stack([ts, width / w])
     values = np.column_stack([np.full_like(ts, -1.0), w * w])
     sweep = _sweep(lengths.ravel(), (values.ravel(),), np.arange(0, lengths.size + 1, 2))
-    return lengths, values, [a[0] for a in sweep]
+    return lengths, values, sweep
 
 
 def test_rescued_decaying_branch_counts_no_zero():
@@ -820,19 +826,19 @@ def test_rescued_decaying_branch_counts_no_zero():
     ts = np.linspace(0.3, 1.5, 2001)
     thick_lengths, _, thick = well_then_barrier(ts, 50.0)
     lengths, values, thin = well_then_barrier(ts, 3.0)
-    rescued = np.flatnonzero(thick[3][0] <= -thick[4])  # column 0 shrank: g <= -kd
+    rescued = np.flatnonzero(thick[3][0, 0] <= -thick[4][0])  # column 0 shrank: g <= -kd
     assert len(rescued) > len(ts) // 2
     for k in rescued.tolist():
         for bc_left in ("D", "N"):
             for bc_right in ("D", "N"):
-                got = _domain_count(*(a[..., k:k + 1] for a in thick), bc_left, bc_right)
-                assert got == _domain_count(*(a[..., k:k + 1] for a in thin), bc_left, bc_right)
+                got = _domain_count([a[..., k:k + 1] for a in thick], bc_left, bc_right)
+                assert got == _domain_count([a[..., k:k + 1] for a in thin], bc_left, bc_right)
     for k in rescued[:3].tolist():
         q = PiecewisePotential(np.concatenate([[0.0], np.cumsum(lengths[k])]), values[k])
-        nn = _domain_count(*(a[..., k:k + 1] for a in thick), "N", "N")
+        nn = _domain_count([a[..., k:k + 1] for a in thick], "N", "N")
         assert nn == fd_inertia_count(q.evaluate, q.breakpoints[-1], 200_000, "N") == 1
     # the scalar oracle normalizes as _sweep does, so it walks each rescued segment to the same counts
-    d, n = _segment_counts([a[None] for a in thick])
+    d, n = segment_counts(thick)
     for k in rescued.tolist():
         assert d[0, k] == propagate_count(thick_lengths[k], values[k], "D", "D")
         assert n[0, k] == propagate_count(thick_lengths[k], values[k], "N", "N")
@@ -866,12 +872,12 @@ def test_sweep_groups_leave_every_array_unchanged(gaps, reach_share, refine, ts,
             sweeps.append(_sweep(lengths, envelopes, seg_idx))
     for sweep in sweeps[:2]:
         assert all(np.array_equal(a, b) for a, b in zip(sweep, sweeps[2]))
-    d, n = _segment_counts(sweeps[2])
+    d, n = segment_counts(sweeps[2])
     for e, values in enumerate(envelopes):
         for bc, got in (("D", d[e]), ("N", n[e])):
             expected = [propagate_count(lengths[a:b], values[a:b], bc, bc) for a, b in zip(seg_idx[:-1], seg_idx[1:])]
             assert got.tolist() == expected
-            assert _domain_count(*(a[e] for a in sweeps[2]), bc, bc) == propagate_count(lengths, values, bc, bc)
+            assert _domain_count([a[e:e + 1] for a in sweeps[2]], bc, bc) == propagate_count(lengths, values, bc, bc)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
